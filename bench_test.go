@@ -60,16 +60,17 @@ func BenchmarkFig2aCurlAccess(b *testing.B) { runExperiment(b, "fig2a", nil) }
 func BenchmarkFig2bSeleniumAccess(b *testing.B) {
 	runExperiment(b, "fig2b", nil)
 }
-func BenchmarkFig3aFixedCircuit(b *testing.B)     { runExperiment(b, "fig3", nil) }
-func BenchmarkFig3bFixedCircuitECDF(b *testing.B) { runExperiment(b, "fig3", nil) }
-func BenchmarkFig4FixedGuard(b *testing.B)        { runExperiment(b, "fig4", nil) }
-func BenchmarkFig5FileDownload(b *testing.B)      { runExperiment(b, "fig5", nil) }
-func BenchmarkFig6TTFB(b *testing.B)              { runExperiment(b, "fig6", nil) }
+
+// BenchmarkFig3aFixedCircuit covers Figure 3b too: both panels render
+// from one fig3 run. Likewise Fig8a covers Figure 8b.
+func BenchmarkFig3aFixedCircuit(b *testing.B) { runExperiment(b, "fig3", nil) }
+func BenchmarkFig4FixedGuard(b *testing.B)    { runExperiment(b, "fig4", nil) }
+func BenchmarkFig5FileDownload(b *testing.B)  { runExperiment(b, "fig5", nil) }
+func BenchmarkFig6TTFB(b *testing.B)          { runExperiment(b, "fig6", nil) }
 func BenchmarkFig7Locations(b *testing.B) {
 	runExperiment(b, "fig7", func(c *harness.Config) { c.Sites = 3 })
 }
-func BenchmarkFig8aReliability(b *testing.B)      { runExperiment(b, "fig8", nil) }
-func BenchmarkFig8bDownloadFraction(b *testing.B) { runExperiment(b, "fig8", nil) }
+func BenchmarkFig8aReliability(b *testing.B) { runExperiment(b, "fig8", nil) }
 func BenchmarkFig9Overhead(b *testing.B) {
 	runExperiment(b, "fig9", func(c *harness.Config) { c.Sites = 3 })
 }

@@ -1,15 +1,15 @@
 // Package tor implements the Tor substrate of the PTPerf simulation: an
-// onion-routing overlay with fixed-size cells, X25519 circuit handshakes,
-// layered AES-CTR encryption with per-hop digests, guard/middle/exit
-// relays, bandwidth-weighted path selection, window-based flow control
-// and a SOCKS5-fronted client.
+// onion-routing overlay with fixed-size cells, circuit handshakes,
+// per-hop onion layers, guard/middle/exit relays, bandwidth-weighted
+// path selection, window-based flow control and a SOCKS5-fronted client.
 //
-// The substrate intentionally mirrors the architecture of the real Tor
-// protocol (tor-spec.txt) at the level that matters for performance
-// measurement: per-hop round trips during circuit construction, per-cell
-// framing overhead, layered crypto and windowed delivery. Identity
-// authentication (certificates, consensus signatures) is out of scope and
-// documented as such in DESIGN.md.
+// The substrate mirrors the real Tor protocol (tor-spec.txt) at the
+// level that matters for performance measurement: per-hop round trips
+// during circuit construction, per-cell framing overhead, per-hop layer
+// processing and windowed delivery. Onion layers are structural, not
+// cryptographic (onion.go): recognition and desync detection decide as
+// layered AES-CTR with relay digests would, and handshakes keep their
+// wire lengths. Identity authentication is out of scope.
 package tor
 
 import (
@@ -46,7 +46,7 @@ const (
 	CmdCreate Command = 1
 	// CmdCreated carries the relay half of a circuit handshake.
 	CmdCreated Command = 2
-	// CmdRelay carries an onion-encrypted relay payload.
+	// CmdRelay carries an onion-layered relay payload.
 	CmdRelay Command = 3
 	// CmdDestroy tears down a circuit.
 	CmdDestroy Command = 4
@@ -69,7 +69,8 @@ func (c Command) String() string {
 	}
 }
 
-// RelayCommand is the command of a relay cell after onion decryption.
+// RelayCommand is the command of a relay cell once its onion layers are
+// peeled.
 type RelayCommand byte
 
 // Relay commands.
@@ -200,7 +201,7 @@ func readWire(r io.Reader, buf []byte) error {
 	return err
 }
 
-// RelayCell is the decrypted interior of a CmdRelay cell.
+// RelayCell is the interior of a CmdRelay cell.
 type RelayCell struct {
 	// Cmd is the relay command.
 	Cmd RelayCommand
@@ -213,11 +214,11 @@ type RelayCell struct {
 // ErrRelayTooLong reports an oversized relay payload.
 var ErrRelayTooLong = errors.New("tor: relay data exceeds cell capacity")
 
-// marshalRelayInto builds the plaintext relay payload in p (a
-// PayloadSize-byte slice) with a zero digest; the crypto layer fills
-// the digest before encrypting. p is zeroed first: it is typically a
-// recycled pooled buffer carrying stale bytes, and the padding (which
-// both digest computations cover) must be deterministic.
+// marshalRelayInto builds the unwrapped relay payload in p (a
+// PayloadSize-byte slice): zero layers and a zero tag, which the onion
+// layers then fold into. p is zeroed first: it is typically a recycled
+// pooled buffer carrying stale bytes, and the wire bytes must be
+// deterministic.
 func marshalRelayInto(p []byte, rc *RelayCell) error {
 	if len(rc.Data) > MaxRelayData {
 		return ErrRelayTooLong
@@ -226,9 +227,9 @@ func marshalRelayInto(p []byte, rc *RelayCell) error {
 		p[i] = 0
 	}
 	p[0] = byte(rc.Cmd)
-	// p[1:3] is "recognized", zero in plaintext.
+	// p[1:3] is "recognized": the onion layer count, zero unwrapped.
 	binary.BigEndian.PutUint16(p[3:5], rc.StreamID)
-	// p[5:9] is the digest, filled by the crypto layer.
+	// p[5:9] is the digest field: the onion layers' sequence tag.
 	binary.BigEndian.PutUint16(p[9:11], uint16(len(rc.Data)))
 	copy(p[relayHeaderSize:], rc.Data)
 	return nil
@@ -241,9 +242,9 @@ func marshalRelay(rc *RelayCell) ([PayloadSize]byte, error) {
 	return p, err
 }
 
-// parseRelayView parses a decrypted relay payload; ok reports whether
-// the recognized field is zero and the length is sane (digest checking
-// is the crypto layer's job). Data is a view into p — valid only while
+// parseRelayView parses an unwrapped relay payload; ok reports whether
+// the recognized field is zero and the length is sane (tag checking is
+// the onion layer's job). Data is a view into p — valid only while
 // p's buffer is; callers that retain it past the cell's lifetime (the
 // client's circuit-build control queue) copy it first.
 func parseRelayView(p []byte) (RelayCell, bool) {
@@ -260,13 +261,4 @@ func parseRelayView(p []byte) (RelayCell, bool) {
 		Data:     p[relayHeaderSize : relayHeaderSize+int(n)],
 	}
 	return rc, true
-}
-
-// parseRelay is parseRelayView with Data copied out of the payload.
-func parseRelay(p *[PayloadSize]byte) (RelayCell, bool) {
-	rc, ok := parseRelayView(p[:])
-	if ok {
-		rc.Data = append([]byte(nil), rc.Data...)
-	}
-	return rc, ok
 }

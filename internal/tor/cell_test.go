@@ -48,7 +48,7 @@ func TestRelayMarshalParseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := parseRelay(&p)
+		got, ok := parseRelayView(p[:])
 		if !ok {
 			return false
 		}
@@ -69,103 +69,110 @@ func TestRelayTooLong(t *testing.T) {
 func TestRelayParseRejectsRecognized(t *testing.T) {
 	rc := RelayCell{Cmd: RelayData, Data: []byte("x")}
 	p, _ := marshalRelay(&rc)
-	p[1] = 1 // non-zero "recognized"
-	if _, ok := parseRelay(&p); ok {
+	p[2] = 1 // one onion layer still on
+	if _, ok := parseRelayView(p[:]); ok {
 		t.Fatal("non-zero recognized must not parse")
 	}
 }
 
+// handshakePair completes one client/relay handshake and returns both
+// ends' view of the hop.
+func handshakePair(rng *rand.Rand) (client, relay *hopLayer) {
+	c, r := newHandshake(rng), newHandshake(rng)
+	return c.complete(r.public()), r.complete(c.public())
+}
+
 func TestHandshakeDerivesSharedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a, err := newHandshake(rng)
-	if err != nil {
-		t.Fatal(err)
+	ka, kb := handshakePair(rng)
+	if *ka != *kb {
+		t.Fatalf("ends disagree: %+v vs %+v", ka, kb)
 	}
-	b, err := newHandshake(rng)
-	if err != nil {
-		t.Fatal(err)
+	if ka.fwdKey == ka.bwdKey {
+		t.Fatal("directions share a key")
 	}
-	ka, err := a.complete(b.public())
-	if err != nil {
-		t.Fatal(err)
+	// A second circuit's hop gets different keys.
+	if kc, _ := handshakePair(rng); kc.fwdKey == ka.fwdKey || kc.bwdKey == ka.bwdKey {
+		t.Fatal("two handshakes derived the same keys")
 	}
-	kb, err := b.complete(a.public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Client encrypts forward; relay decrypts forward: same keystream.
+	// Client wraps forward; relay peels forward: same key and counter.
 	rc := RelayCell{Cmd: RelayData, StreamID: 7, Data: []byte("onion payload")}
 	p, _ := marshalRelay(&rc)
-	ka.sealForward(p[:])
-	ka.encryptForward(p[:])
-	kb.decryptForward(p[:])
-	got, ok := parseRelay(&p)
-	if !ok || !kb.checkForward(p[:]) {
-		t.Fatal("relay should recognize the sealed cell")
-	}
-	if string(got.Data) != "onion payload" {
-		t.Fatalf("data = %q", got.Data)
+	ka.wrapForward(p[:])
+	if got, ok := kb.peelForward(p[:]); !ok || string(got.Data) != "onion payload" {
+		t.Fatalf("relay should recognize the wrapped cell: %+v, %v", got, ok)
 	}
 }
 
 func TestDigestCountersDetectReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a, _ := newHandshake(rng)
-	b, _ := newHandshake(rng)
-	ka, _ := a.complete(b.public())
-	kb, _ := b.complete(a.public())
-
+	ka, kb := handshakePair(rand.New(rand.NewSource(2)))
 	rc := RelayCell{Cmd: RelayData, StreamID: 1, Data: []byte("cell-1")}
 	p1, _ := marshalRelay(&rc)
-	ka.sealForward(p1[:])
-	replay := p1 // plaintext copy before encryption
-	if !kb.checkForward(p1[:]) {
+	ka.wrapForward(p1[:])
+	replay := p1 // wire copy as sent
+	if _, ok := kb.peelForward(p1[:]); !ok {
 		t.Fatal("first cell should verify")
 	}
-	// The same sealed payload replayed must fail: the counter moved on.
-	if kb.checkForward(replay[:]) {
+	// The same wrapped payload replayed must fail: the counter moved on.
+	if _, ok := kb.peelForward(replay[:]); ok {
 		t.Fatal("replayed cell must not verify")
+	}
+	// So must every later cell: the ends' counters stay apart.
+	p2, _ := marshalRelay(&rc)
+	ka.wrapForward(p2[:])
+	if _, ok := kb.peelForward(p2[:]); ok {
+		t.Fatal("cell after a replay must not verify")
 	}
 }
 
 func TestOnionLayering(t *testing.T) {
-	// Three hops: client encrypts exit→middle→guard; each hop peels one
-	// layer; only the exit recognizes the cell.
+	// Three hops: the client wraps exit→middle→guard; each hop peels one
+	// layer; only the addressed hop recognizes the cell, in both
+	// directions.
 	rng := rand.New(rand.NewSource(3))
-	var client, relays []*hopCrypto
+	var client, relays []*hopLayer
 	for i := 0; i < 3; i++ {
-		c, _ := newHandshake(rng)
-		r, _ := newHandshake(rng)
-		kc, err := c.complete(r.public())
-		if err != nil {
-			t.Fatal(err)
-		}
-		kr, err := r.complete(c.public())
-		if err != nil {
-			t.Fatal(err)
-		}
+		kc, kr := handshakePair(rng)
 		client = append(client, kc)
 		relays = append(relays, kr)
 	}
-	rc := RelayCell{Cmd: RelayBegin, StreamID: 3, Data: []byte("web:80")}
-	p, _ := marshalRelay(&rc)
-	client[2].sealForward(p[:])
-	for i := 2; i >= 0; i-- {
-		client[i].encryptForward(p[:])
-	}
-	for i := 0; i < 2; i++ {
-		relays[i].decryptForward(p[:])
-		if got, ok := parseRelay(&p); ok && relays[i].checkForward(p[:]) {
-			t.Fatalf("hop %d should not recognize cell %+v", i, got)
+	for addr := 0; addr < 3; addr++ {
+		rc := RelayCell{Cmd: RelayBegin, StreamID: 3, Data: []byte("web:80")}
+		p, _ := marshalRelay(&rc)
+		for i := addr; i >= 0; i-- {
+			client[i].wrapForward(p[:])
+		}
+		for i := 0; i < addr; i++ {
+			if got, ok := relays[i].peelForward(p[:]); ok {
+				t.Fatalf("hop %d recognized a cell for hop %d: %+v", i, addr, got)
+			}
+		}
+		got, ok := relays[addr].peelForward(p[:])
+		if !ok || string(got.Data) != "web:80" || got.Cmd != RelayBegin {
+			t.Fatalf("hop %d must recognize its cell: %+v, %v", addr, got, ok)
+		}
+
+		rc = RelayCell{Cmd: RelayConnected, StreamID: 3}
+		p, _ = marshalRelay(&rc)
+		for i := addr; i >= 0; i-- {
+			relays[i].wrapBackward(p[:])
+		}
+		for i := 0; i <= addr; i++ {
+			got, ok := client[i].peelBackward(p[:])
+			if ok != (i == addr) {
+				t.Fatalf("backward cell from hop %d: client recognized at hop %d = %v (%+v)", addr, i, ok, got)
+			}
 		}
 	}
-	relays[2].decryptForward(p[:])
-	got, ok := parseRelay(&p)
-	if !ok || !relays[2].checkForward(p[:]) {
-		t.Fatal("exit must recognize the cell")
+	// A cell peeled past its last layer is never recognized.
+	rc := RelayCell{Cmd: RelayData, StreamID: 1}
+	p, _ := marshalRelay(&rc)
+	client[0].wrapForward(p[:])
+	if _, ok := relays[0].peelForward(p[:]); !ok {
+		t.Fatal("guard must recognize its cell")
 	}
-	if string(got.Data) != "web:80" || got.Cmd != RelayBegin {
-		t.Fatalf("got %+v", got)
+	if _, ok := relays[1].peelForward(p[:]); ok {
+		t.Fatal("over-peeled cell recognized")
 	}
 }
 

@@ -27,13 +27,13 @@ type circuit struct {
 	path   Path
 	id     uint32
 
-	// sendMu makes "seal, onion-encrypt, write" atomic so hop digest
-	// counters and CTR streams observe cells in wire order. It is
-	// scheduler-aware because the write can park on conn backpressure.
+	// sendMu makes "wrap onion layers, write" atomic so the per-hop tag
+	// counters observe cells in wire order. It is scheduler-aware
+	// because the write can park on conn backpressure.
 	sendMu *netem.Mutex
 
 	mu         sync.Mutex
-	hops       []*hopCrypto
+	hops       []*hopLayer
 	streams    map[uint16]*Stream
 	nextStream uint16
 	closed     bool
@@ -78,11 +78,8 @@ func (circ *circuit) build() error {
 	c := circ.client
 	c.rngMu.Lock()
 	circ.id = c.rng.Uint32() | 1
-	hs, err := newHandshake(c.rng)
+	hs := newHandshake(c.rng)
 	c.rngMu.Unlock()
-	if err != nil {
-		return err
-	}
 
 	create := &Cell{CircID: circ.id, Cmd: CmdCreate}
 	writeHandshake(&create.Payload, hs.public())
@@ -101,10 +98,7 @@ func (circ *circuit) build() error {
 	if created.Cmd != CmdCreated || created.CircID != circ.id {
 		return fmt.Errorf("tor: unexpected %v during create", created.Cmd)
 	}
-	hop, err := hs.complete(readHandshake(&created.Payload))
-	if err != nil {
-		return err
-	}
+	hop := hs.complete(readHandshake(&created.Payload))
 	circ.mu.Lock()
 	circ.hops = append(circ.hops, hop)
 	circ.mu.Unlock()
@@ -134,11 +128,8 @@ func (circ *circuit) build() error {
 func (circ *circuit) extend(next *Descriptor) error {
 	c := circ.client
 	c.rngMu.Lock()
-	hs, err := newHandshake(c.rng)
+	hs := newHandshake(c.rng)
 	c.rngMu.Unlock()
-	if err != nil {
-		return err
-	}
 	circ.mu.Lock()
 	last := len(circ.hops) - 1
 	circ.mu.Unlock()
@@ -158,18 +149,15 @@ func (circ *circuit) extend(next *Descriptor) error {
 	if reply.Cmd != RelayExtended || len(reply.Data) != HandshakeLen {
 		return fmt.Errorf("tor: extension to %s failed (%v)", next.Name, reply.Cmd)
 	}
-	hop, err := hs.complete(reply.Data)
-	if err != nil {
-		return err
-	}
+	hop := hs.complete(reply.Data)
 	circ.mu.Lock()
 	circ.hops = append(circ.hops, hop)
 	circ.mu.Unlock()
 	return nil
 }
 
-// sendRelay seals a relay cell for hop index h and onion-encrypts it
-// outward before writing.
+// sendRelay wraps a relay cell in the onion layers of hops h..0 before
+// writing it.
 func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 	buf, base := getCellBuf()
 	p := wirePayload(buf)
@@ -188,9 +176,8 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 
 	circ.sendMu.Lock()
 	defer circ.sendMu.Unlock()
-	hops[h].sealForward(p)
 	for i := h; i >= 0; i-- {
-		hops[i].encryptForward(p)
+		hops[i].wrapForward(p)
 	}
 	setWireHeader(buf, circ.id, CmdRelay)
 	var err error
@@ -299,8 +286,7 @@ func (circ *circuit) peel(p []byte) (int, RelayCell, bool) {
 	hops := circ.hops
 	circ.mu.Unlock()
 	for i, hop := range hops {
-		hop.decryptBackward(p)
-		if rc, ok := parseRelayView(p); ok && hop.checkBackward(p) {
+		if rc, ok := hop.peelBackward(p); ok {
 			return i, rc, true
 		}
 	}

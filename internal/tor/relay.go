@@ -218,7 +218,7 @@ func (r *Relay) ServeConn(conn net.Conn) {
 	l.serve()
 }
 
-func (r *Relay) newHandshake() (*handshake, error) {
+func (r *Relay) newHandshake() *handshake {
 	r.rngMu.Lock()
 	defer r.rngMu.Unlock()
 	return newHandshake(r.rng)
@@ -435,19 +435,13 @@ func (l *link) handleCreate(cell *Cell) error {
 	if l.circuit(cell.CircID) != nil {
 		return l.writeCell(&Cell{CircID: cell.CircID, Cmd: CmdDestroy})
 	}
-	hs, err := l.relay.newHandshake()
-	if err != nil {
-		return err
-	}
-	hc, err := hs.complete(readHandshake(&cell.Payload))
-	if err != nil {
-		return err
-	}
+	hs := l.relay.newHandshake()
+	layer := hs.complete(readHandshake(&cell.Payload))
 	clock := l.relay.clock
 	circ := &relayCirc{
 		link:       l,
 		id:         cell.CircID,
-		crypto:     hc,
+		layer:      layer,
 		q:          l.sched.newQueue(l, cell.CircID),
 		nextWMu:    netem.NewMutex(clock),
 		bwdMu:      netem.NewMutex(clock),
@@ -467,9 +461,9 @@ func (l *link) handleCreate(cell *Cell) error {
 
 // relayCirc is this relay's view of one circuit.
 type relayCirc struct {
-	link   *link
-	id     uint32
-	crypto *hopCrypto
+	link  *link
+	id    uint32
+	layer *hopLayer
 	// q is the circuit's output queue in the relay's cell scheduler;
 	// every backward (toward-client) relay cell goes through it.
 	q *circQueue
@@ -478,8 +472,8 @@ type relayCirc struct {
 	next    net.Conn // downstream link, nil while last hop
 	nextID  uint32
 	nextWMu *netem.Mutex
-	// bwdMu makes "apply backward crypto, then write upstream" atomic so
-	// the client observes cells in CTR-stream order.
+	// bwdMu makes "wrap the backward layer, then enqueue upstream"
+	// atomic so the client observes cells in tag-counter order.
 	bwdMu   *netem.Mutex
 	streams map[uint16]*exitStream
 	closed  bool
@@ -505,8 +499,7 @@ type relayCirc struct {
 // control replies — copy it synchronously).
 func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, err error) {
 	p := wirePayload(buf)
-	c.crypto.decryptForward(p)
-	if rc, ok := parseRelayView(p); ok && c.crypto.checkForward(p) {
+	if rc, ok := c.layer.peelForward(p); ok {
 		return false, c.handleRecognized(rc)
 	}
 	// Not for us: forward downstream.
@@ -579,7 +572,7 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	c.nextID = nextID
 	c.mu.Unlock()
 	if oc, ok := conn.(*netem.Conn); ok {
-		// Inline backward path: downstream cells are encrypted and
+		// Inline backward path: downstream cells are wrapped and
 		// queued at their arrival instants on the clock's event
 		// dispatcher, with no relay goroutine in the loop.
 		oc.SetReadSink(c.backwardSink)
@@ -636,7 +629,7 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 		if !c.bwdMu.TryLock() {
 			panic("tor: bwdMu contended in event context; backward event path must stay park-free")
 		}
-		c.crypto.encryptBackward(wirePayload(buf))
+		c.layer.wrapBackward(wirePayload(buf))
 		setWireHeader(buf, c.id, CmdRelay)
 		var err error
 		if pool == &cellBufPool {
@@ -668,7 +661,7 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 }
 
 // pumpBackward relays downstream→upstream cells, adding our onion
-// layer. Cells are encrypted under bwdMu (fixing the CTR-stream order)
+// layer. Cells are wrapped under bwdMu (fixing the tag-counter order)
 // and handed to the scheduler queue, which preserves per-circuit FIFO.
 func (c *relayCirc) pumpBackward(conn net.Conn) {
 	buf, base := getCellBuf()
@@ -681,7 +674,7 @@ func (c *relayCirc) pumpBackward(conn net.Conn) {
 		switch Command(buf[4]) {
 		case CmdRelay:
 			c.bwdMu.Lock()
-			c.crypto.encryptBackward(wirePayload(buf))
+			c.layer.wrapBackward(wirePayload(buf))
 			setWireHeader(buf, c.id, CmdRelay)
 			err := c.link.sched.enqueueWire(c.q, buf, base)
 			c.bwdMu.Unlock()
@@ -711,14 +704,12 @@ func (c *relayCirc) sendBackward(rc RelayCell) error {
 		putCellBuf(base)
 		return err
 	}
-	// Seal, encrypt and enqueue atomically so digest counters and the
-	// CTR stream stay in the order the client will observe; the
-	// scheduler flushes each circuit's queue in enqueue order, so wire
-	// order matches crypto order.
+	// Wrap and enqueue atomically so the tag counter stays in the order
+	// the client will observe; the scheduler flushes each circuit's
+	// queue in enqueue order, so wire order matches counter order.
 	c.bwdMu.Lock()
 	defer c.bwdMu.Unlock()
-	c.crypto.sealBackward(p)
-	c.crypto.encryptBackward(p)
+	c.layer.wrapBackward(p)
 	setWireHeader(buf, c.id, CmdRelay)
 	return c.link.sched.enqueueWire(c.q, buf, base)
 }

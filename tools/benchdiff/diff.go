@@ -14,21 +14,31 @@ import (
 // by -min-sweep-speedup against seqName from the same run.
 const seqName, parName = "BenchmarkScenarioSweep", "BenchmarkSweepParallel"
 
+// minGatedNs is the smallest baseline ns/op the ratio gate trusts. A
+// faster benchmark's ratio is mostly scheduler and cache noise:
+// BenchmarkTable1Overview (~31 µs) measured 40.7 µs and 67 µs in two
+// runs of unchanged code, and as the minimum ratio it set the floor
+// that flagged unchanged macro benchmarks.
+const minGatedNs = 10e6
+
 // row is one benchmark's comparison.
 type row struct {
 	name       string
 	base, res  float64
 	ratio      float64
 	normalized float64
-	regressed  bool
+	// ungated rows (baseline under the gate minimum) are printed but
+	// neither set the floor nor fail the gate.
+	ungated   bool
+	regressed bool
 }
 
 // compareResult is the ratio gate's full verdict.
 type compareResult struct {
 	// floor is the machine-speed factor: the minimum result/baseline
-	// ratio across the gated benchmarks.
+	// ratio across the gated benchmarks (1 when none is gated).
 	floor float64
-	// rows lists every gated benchmark, sorted by name.
+	// rows lists every compared benchmark, sorted by name.
 	rows []row
 	// failed reports whether any row regressed beyond the threshold.
 	failed bool
@@ -40,8 +50,10 @@ type compareResult struct {
 // hardware), and rows exceeding 1+threshold are flagged. parName is
 // excluded (core-count-dependent by design); benchmarks missing from
 // either side are skipped (dropped or new benchmarks are not
-// regressions).
-func compare(base, res map[string]float64, threshold float64) (compareResult, error) {
+// regressions). Benchmarks whose baseline is under minNs ns/op are
+// compared and printed but ungated: they neither set the floor nor
+// fail.
+func compare(base, res map[string]float64, threshold, minNs float64) (compareResult, error) {
 	var out compareResult
 	//simlint:allow maprange -- rows are sorted by name immediately below; map order cannot reach the report.
 	for name, b := range base {
@@ -52,17 +64,18 @@ func compare(base, res map[string]float64, threshold float64) (compareResult, er
 		if !ok || b <= 0 {
 			continue
 		}
-		out.rows = append(out.rows, row{name: name, base: b, res: r, ratio: r / b})
+		out.rows = append(out.rows, row{name: name, base: b, res: r, ratio: r / b, ungated: b < minNs})
 	}
 	if len(out.rows) == 0 {
 		return out, fmt.Errorf("no benchmarks in common")
 	}
 	sort.Slice(out.rows, func(i, j int) bool { return out.rows[i].name < out.rows[j].name })
 
-	out.floor = out.rows[0].ratio
-	for _, r := range out.rows[1:] {
-		if r.ratio < out.floor {
-			out.floor = r.ratio
+	out.floor = 1
+	gated := false
+	for _, r := range out.rows {
+		if !r.ungated && (!gated || r.ratio < out.floor) {
+			out.floor, gated = r.ratio, true
 		}
 	}
 	if out.floor <= 0 {
@@ -70,7 +83,7 @@ func compare(base, res map[string]float64, threshold float64) (compareResult, er
 	}
 	for i := range out.rows {
 		out.rows[i].normalized = out.rows[i].ratio / out.floor
-		if out.rows[i].normalized > 1+threshold {
+		if !out.rows[i].ungated && out.rows[i].normalized > 1+threshold {
 			out.rows[i].regressed = true
 			out.failed = true
 		}
@@ -85,8 +98,11 @@ func (c compareResult) render() string {
 	fmt.Fprintf(&b, "%-40s %14s %14s %8s %10s\n", "benchmark", "baseline ns/op", "result ns/op", "ratio", "vs floor")
 	for _, r := range c.rows {
 		verdict := "ok"
-		if r.regressed {
+		switch {
+		case r.regressed:
 			verdict = "REGRESSION"
+		case r.ungated:
+			verdict = "(ungated: baseline under gate minimum)"
 		}
 		fmt.Fprintf(&b, "%-40s %14.0f %14.0f %8.3f %9.3fx %s\n",
 			r.name, r.base, r.res, r.ratio, r.normalized, verdict)

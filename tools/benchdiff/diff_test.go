@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func names(c compareResult) map[string]row {
 func TestUniformSlowdownIsHardware(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 2000, "BenchmarkC": 30}
 	res := map[string]float64{"BenchmarkA": 200, "BenchmarkB": 4000, "BenchmarkC": 60}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestUniformSlowdownIsHardware(t *testing.T) {
 func TestSingleRegressionGates(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100, "BenchmarkC": 100}
 	res := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 130, "BenchmarkC": 110}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSingleRegressionGates(t *testing.T) {
 func TestBoundaryNotFlagged(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100}
 	res := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 125}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestBoundaryNotFlagged(t *testing.T) {
 func TestSweepParallelExcluded(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, parName: 100}
 	res := map[string]float64{"BenchmarkA": 100, parName: 5000}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSweepParallelExcluded(t *testing.T) {
 	// And its tiny ratio must not become the floor either (which would
 	// flag everything else).
 	res2 := map[string]float64{"BenchmarkA": 100, parName: 10}
-	c2, err := compare(base, res2, 0.25)
+	c2, err := compare(base, res2, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSweepParallelExcluded(t *testing.T) {
 func TestContentionSweepGated(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkContentionSweep": 100}
 	res := map[string]float64{"BenchmarkA": 100, "BenchmarkContentionSweep": 200}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,14 @@ func TestContentionSweepGated(t *testing.T) {
 func TestDroppedAndNewBenchmarksSkipped(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkDropped": 100}
 	res := map[string]float64{"BenchmarkA": 100, "BenchmarkNew": 1e9}
-	c, err := compare(base, res, 0.25)
+	c, err := compare(base, res, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.rows) != 1 || c.rows[0].name != "BenchmarkA" || c.failed {
 		t.Fatalf("rows = %+v failed=%v, want only BenchmarkA ok", c.rows, c.failed)
 	}
-	if _, err := compare(map[string]float64{"BenchmarkX": 1}, map[string]float64{"BenchmarkY": 1}, 0.25); err == nil {
+	if _, err := compare(map[string]float64{"BenchmarkX": 1}, map[string]float64{"BenchmarkY": 1}, 0.25, 0); err == nil {
 		t.Fatal("disjoint suites must error, not pass")
 	}
 }
@@ -190,5 +191,57 @@ func TestSweepSpeedupAssertion(t *testing.T) {
 	// Enabled check with the pair missing must fail loudly.
 	if _, present, failed := sweepSpeedup(map[string]float64{seqName: 1000}, 2.5); !failed || present {
 		t.Error("missing SweepParallel slipped past an enabled speedup gate")
+	}
+}
+
+// TestMicroBenchmarksUngated: a benchmark with a baseline under the gate
+// minimum is printed but neither sets the floor nor gates. Here the
+// macro benchmarks are unchanged within noise and the microsecond
+// benchmark ran faster by chance: with it in the floor, BenchmarkC
+// would read as a 1.89x regression.
+func TestMicroBenchmarksUngated(t *testing.T) {
+	base := map[string]float64{"BenchmarkMicro": 31e3, "BenchmarkA": 3e9, "BenchmarkC": 80e6}
+	res := map[string]float64{"BenchmarkMicro": 18e3, "BenchmarkA": 3e9, "BenchmarkC": 88e6}
+	c, err := compare(base, res, 0.25, minGatedNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.failed {
+		t.Fatalf("micro-benchmark noise flagged a regression: %+v", c.rows)
+	}
+	if want := 1.0; math.Abs(c.floor-want) > 1e-9 {
+		t.Errorf("floor = %.3f, want %.3f (BenchmarkA, the least-slowed gated one)", c.floor, want)
+	}
+	rows := names(c)
+	if m := rows["BenchmarkMicro"]; !m.ungated || m.regressed {
+		t.Errorf("micro benchmark must be ungated: %+v", m)
+	}
+	if !strings.Contains(c.render(), "BenchmarkMicro") {
+		t.Error("ungated benchmark missing from the rendered table")
+	}
+
+	// A micro benchmark that regresses wildly still does not gate.
+	res["BenchmarkMicro"] = 31e4
+	if c, _ := compare(base, res, 0.25, minGatedNs); c.failed {
+		t.Fatalf("ungated benchmark failed the gate: %+v", c.rows)
+	}
+	// Without the minimum, the old behavior: the micro ratio is the floor.
+	res["BenchmarkMicro"] = 18e3
+	if c, _ := compare(base, res, 0.25, 0); !c.failed {
+		t.Fatal("with no gate minimum the micro benchmark should set the floor and flag BenchmarkC")
+	}
+}
+
+// TestAllUngatedNeverFails: with every benchmark under the minimum the
+// floor is 1 and nothing gates.
+func TestAllUngatedNeverFails(t *testing.T) {
+	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100}
+	res := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 900}
+	c, err := compare(base, res, 0.25, minGatedNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.failed || c.floor != 1 {
+		t.Fatalf("all-ungated suite: failed=%v floor=%.3f", c.failed, c.floor)
 	}
 }

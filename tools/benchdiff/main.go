@@ -18,6 +18,11 @@
 // BENCH_baseline.json in the same change (false red, self-correcting —
 // preferred over the false green a median gives broad slowdowns).
 //
+// Benchmarks whose baseline is under 10 ms/op are printed but excluded
+// from both the floor and the gate: a microsecond-scale benchmark's
+// ratio is mostly noise, and as the minimum it would decide the verdict
+// for the whole suite.
+//
 // BenchmarkSweepParallel is excluded from both the floor and the gate:
 // its ns/op scales with the runner's core count by design, so its
 // ratio says nothing about code regressions. Its regression detection
@@ -91,7 +96,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	cmp, err := compare(base, res, *threshold)
+	cmp, err := compare(base, res, *threshold, minGatedNs)
 	if err != nil {
 		fatalf("%s vs %s: %v", *baselinePath, *resultsPath, err)
 	}
