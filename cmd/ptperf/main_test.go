@@ -46,21 +46,6 @@ func TestUnknownScenarioListsRegistry(t *testing.T) {
 	}
 }
 
-// TestTimescaleStaysParseOnlyNoOp: the retired -timescale flag must
-// parse (old scripts keep working) and change nothing.
-func TestTimescaleStaysParseOnlyNoOp(t *testing.T) {
-	var a, b, errb bytes.Buffer
-	if code := run([]string{"-timescale", "0.25", "-list"}, &a, &errb); code != 0 {
-		t.Fatalf("-timescale rejected: exit %d, stderr %q", code, errb.String())
-	}
-	if code := run([]string{"-list"}, &b, &errb); code != 0 {
-		t.Fatalf("-list failed: exit %d", code)
-	}
-	if a.String() != b.String() {
-		t.Error("-timescale changed the -list output")
-	}
-}
-
 // TestListShowsExperimentsAndScenarios pins the -list shape both other
 // tests' registry errors point users at.
 func TestListShowsExperimentsAndScenarios(t *testing.T) {

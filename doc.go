@@ -7,9 +7,8 @@
 // Time in the simulation is virtual and discrete-event: internal/netem
 // keeps a min-heap of pending virtual timers and advances the clock
 // only when every simulation goroutine is parked, so campaigns run at
-// CPU speed and identical seeds produce bit-identical reports. The old
-// TimeScale knob (real seconds slept per virtual second) is retired —
-// there is nothing left to tune. See DESIGN.md for the scheduler
+// CPU speed and identical seeds produce bit-identical reports: virtual
+// time has no wall-clock ratio to tune. See DESIGN.md for the scheduler
 // architecture and the rules simulation code must follow. Those rules
 // are enforced statically: tools/simlint, a go vet tool run by CI's
 // lint job, rejects wall-clock reads, unseeded randomness, raw go

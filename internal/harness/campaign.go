@@ -110,7 +110,7 @@ func (r *Runner) accessTask(kind string, methods []string, measure func(*testbed
 // measureAccess runs one access campaign over an already-built world.
 func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(*testbed.World, *testbed.Deployment, siteRef) (float64, float64, float64, error)) (map[string]*accessData, error) {
 	sites := r.sites(w)
-	results, err := r.forEachMethod(w, methods, func(name string) (any, error) {
+	return forEachMethod(r, w, methods, methodsInFlight, func(name string) (*accessData, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -156,18 +156,6 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 		d.FreshCircuit()
 		return data, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make(map[string]*accessData, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-	for name, v := range results {
-		if v != nil {
-			out[name] = v.(*accessData)
-		}
-	}
-	return out, nil
 }
 
 // fileAttempt is one bulk-download attempt.
@@ -242,7 +230,7 @@ func (r *Runner) filesTask() *sim.Future[any] {
 	return r.worldTask("files", r.worldOptions(streamCampaign), spec,
 		jsonValue[map[string]*fileData](),
 		func(w *testbed.World) (any, error) {
-			results, err := r.forEachMethodN(w, r.cfg.Transports, 1, func(name string) (any, error) {
+			return forEachMethod(r, w, r.cfg.Transports, 1, func(name string) (*fileData, error) {
 				d, err := w.Deployment(name)
 				if err != nil {
 					return nil, err
@@ -280,17 +268,6 @@ func (r *Runner) filesTask() *sim.Future[any] {
 				d.FreshCircuit()
 				return data, nil
 			})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string]*fileData, len(results))
-			//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-			for name, v := range results {
-				if v != nil {
-					out[name] = v.(*fileData)
-				}
-			}
-			return out, nil
 		})
 }
 

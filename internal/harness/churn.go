@@ -2,21 +2,19 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
-	"ptperf/internal/faults"
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
-	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
 )
 
-// This file implements "-exp churn": the churn-resilience sweep over
-// the relay-failure scenario family. Each cell is one independent world
-// task on the same seed stream, so topology, catalogs and relay draws
-// are identical across columns and the only difference is the fault
-// plan (none at the baseline). It crosses the methods {tor, obfs4,
+// This file declares "-exp churn": the churn-resilience grid over the
+// relay-failure scenario family. Every cell is built from the same
+// seed, so topology, catalogs and relay draws are identical across
+// columns and the only difference is the fault plan (none at the
+// baseline). It crosses the methods {tor, obfs4,
 // webtunnel, snowflake} with {none, slow, fast} churn, every method
 // running resumable bulk downloads concurrently on the world's clock
 // while relays crash, links flap and descriptors churn underneath them,
@@ -58,180 +56,82 @@ var churnRetry = tor.RetryPolicy{
 	BackoffBase:      2 * time.Second,
 }
 
-// churnMethod is one method's measurements in one cell.
-type churnMethod struct {
-	// Times / TTFBs hold one sample per attempt (failures record the
-	// file timeout, like the paper's reliability analysis).
-	Times, TTFBs []float64
-	// Attempts / Completed count downloads started and fully delivered.
-	Attempts, Completed int
-	// Resumes counts extra transfer legs across all attempts.
-	Resumes int
-	// Recovery is the method's client-side recovery-cost breakdown.
-	Recovery tor.RecoveryStats
-}
-
-// churnCell is one churn-level world-task result.
-type churnCell struct {
-	Level   testbed.ChurnLevel
-	Methods map[string]*churnMethod
-	// Faults counts what the injector actually did in this world.
-	Faults faults.Stats
-}
-
-// churnTask submits (once) one churn cell. All cells share one world
-// seed; only the attached fault plan differs.
-func (r *Runner) churnTask(li int) *sim.Future[any] {
-	lv := testbed.ChurnLevels[li]
-	opts := r.worldOptions(streamChurn)
-	opts.Retry = churnRetry
-	plan := testbed.ChurnPlanFor(lv, opts, churnHorizon)
-	if !plan.Empty() {
-		opts.FaultSpec = &plan
+func churnGrid() *grid {
+	g := &grid{
+		prefix:  "churn",
+		stream:  streamChurn,
+		methods: churnMethods,
+		knobs: func(Config) string {
+			return fmt.Sprintf("attempts=%d fileMB=%d", churnAttempts, churnFileMB)
+		},
+		options: func(o *testbed.Options, lv gridLevel) {
+			o.Retry = churnRetry
+			if plan := testbed.ChurnPlanFor(testbed.ChurnLevels[lv.i], *o, churnHorizon); !plan.Empty() {
+				o.FaultSpec = &plan
+			}
+		},
+		measure: measureChurn,
+		intro: fmt.Sprintf("Relay churn: %%d methods × %%d failure rates, resumable %d MB downloads over a failing fleet (same world seed per cell)",
+			churnFileMB),
+		sep: "@",
+		boxes: [2]string{"Download time under relay churn (s; failures count as the timeout)",
+			"Time to first byte under relay churn (s)"},
+		methodTitle: "Recovery cost per method (client-side circuit rebuilds and stream re-attaches)",
+		methodCols: []string{"attempts", "ok", "success", "resumes",
+			"rebuilds", "build-timeouts", "stream-fails", "re-attaches", "abandoned", "probations"},
+		cellTitle: "Fault injector transitions per level",
+		cellCols:  []string{"crashes", "restarts", "flaps-down", "flaps-up", "withdrawn", "rejoined", "skipped"},
+		pairs:     "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)",
+		note:      "Expected: downloads survive churn through resume legs and circuit rebuilds — success stays high while recovery counters, not failure rates, absorb the damage.\n\n",
 	}
-	spec := r.cellSpec(
-		fmt.Sprintf("level=%s", lv.Name),
-		fmt.Sprintf("methods=%v attempts=%d fileMB=%d", churnMethods, churnAttempts, churnFileMB),
-	)
-	return r.worldTask(fmt.Sprintf("churn:%d", li), opts, spec, jsonValue[*churnCell](), func(w *testbed.World) (any, error) {
-		size := w.Bytes(churnFileMB << 20)
-		results, err := r.forEachMethod(w, churnMethods, func(name string) (any, error) {
-			dep, err := w.Deployment(name)
-			if err != nil {
-				return nil, err
-			}
-			if err := dep.Preheat(); err != nil {
-				return nil, fmt.Errorf("preheat: %w", err)
-			}
-			c := &fetch.Client{Net: w.Net, Dial: dep.Dial, Timeout: churnFileTimeout}
-			m := &churnMethod{}
-			for i := 0; i < churnAttempts; i++ {
-				if i > 0 {
-					w.Net.Clock().Sleep(churnThink)
-					// Each attempt measures a cold path, like the bulk
-					// campaign — and spreads fault exposure over circuits.
-					dep.FreshCircuit()
-				}
-				res := c.DownloadFileResumed(w.Origin.Addr(), size, churnMaxResumes)
-				m.Attempts++
-				m.Resumes += res.Resumes
-				if res.Complete() {
-					m.Completed++
-					m.Times = append(m.Times, seconds(res.Total))
-					m.TTFBs = append(m.TTFBs, seconds(res.TTFB))
-				} else {
-					m.Times = append(m.Times, churnFileTimeout.Seconds())
-					m.TTFBs = append(m.TTFBs, churnFileTimeout.Seconds())
-				}
-			}
-			m.Recovery = dep.Recovery()
-			return m, nil
-		})
+	for i, lv := range testbed.ChurnLevels {
+		g.levels = append(g.levels, gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
+	}
+	return g
+}
+
+// measureChurn runs every method's resumable downloads concurrently on
+// the world's clock while the fault plan plays out underneath them.
+func measureChurn(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*gridCell, error) {
+	size := w.Bytes(churnFileMB << 20)
+	results, err := forEachMethod(r, w, methods, methodsInFlight, func(name string) (*gridSamples, error) {
+		dep, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
 		}
-		cell := &churnCell{
-			Level:   lv,
-			Methods: make(map[string]*churnMethod, len(results)),
-			Faults:  w.FaultStats(),
+		if err := dep.Preheat(); err != nil {
+			return nil, fmt.Errorf("preheat: %w", err)
 		}
-		//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and the churn report orders methods explicitly.
-		for name, v := range results {
-			cell.Methods[name] = v.(*churnMethod)
-		}
-		return cell, nil
-	})
-}
-
-// prefetchChurn submits every churn level.
-func prefetchChurn(r *Runner) {
-	for li := range testbed.ChurnLevels {
-		r.churnTask(li)
-	}
-}
-
-// runChurn renders the churn-resilience sweep.
-func (r *Runner) runChurn() error {
-	levels := testbed.ChurnLevels
-	fmt.Fprintf(r.out, "Relay churn: %d methods × %d failure rates, resumable %d MB downloads over a failing fleet (same world seed per cell)\n\n",
-		len(churnMethods), len(levels), churnFileMB)
-	prefetchChurn(r)
-
-	cells := make([]*churnCell, len(levels))
-	for li := range levels {
-		v, err := r.churnTask(li).Wait()
-		if err != nil {
-			return fmt.Errorf("churn %s: %w", levels[li].Name, err)
-		}
-		cells[li] = v.(*churnCell)
-	}
-
-	var timeRows, ttfbRows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, cell := range cells {
-		for _, m := range churnMethods {
-			label := fmt.Sprintf("%s@%s", m, cell.Level.Name)
-			timeRows = append(timeRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Methods[m].Times)})
-			ttfbRows = append(ttfbRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Methods[m].TTFBs)})
-		}
-	}
-	r.writeBoxes("Download time under relay churn (s; failures count as the timeout)", timeRows)
-	r.writeBoxes("Time to first byte under relay churn (s)", ttfbRows)
-
-	t := newTable("level", "method", "attempts", "ok", "success", "resumes",
-		"rebuilds", "build-timeouts", "stream-fails", "re-attaches", "abandoned", "probations")
-	for _, cell := range cells {
-		for _, m := range churnMethods {
-			cm := cell.Methods[m]
-			rec := cm.Recovery
-			t.add(cell.Level.Name, m,
-				fmt.Sprintf("%d", cm.Attempts), fmt.Sprintf("%d", cm.Completed),
-				fmt.Sprintf("%.0f%%", 100*float64(cm.Completed)/float64(cm.Attempts)),
-				fmt.Sprintf("%d", cm.Resumes),
-				fmt.Sprintf("%d", rec.Rebuilds), fmt.Sprintf("%d", rec.BuildTimeouts),
-				fmt.Sprintf("%d", rec.StreamFailures), fmt.Sprintf("%d", rec.ReAttaches),
-				fmt.Sprintf("%d", rec.Abandoned), fmt.Sprintf("%d", rec.GuardProbations))
-		}
-	}
-	fmt.Fprintln(r.out, "Recovery cost per method (client-side circuit rebuilds and stream re-attaches)")
-	t.write(r.out)
-	fmt.Fprintln(r.out)
-
-	ft := newTable("level", "crashes", "restarts", "flaps-down", "flaps-up", "withdrawn", "rejoined", "skipped")
-	for _, cell := range cells {
-		st := cell.Faults
-		ft.add(cell.Level.Name,
-			fmt.Sprintf("%d", st.Crashes), fmt.Sprintf("%d", st.Restarts),
-			fmt.Sprintf("%d", st.FlapsDown), fmt.Sprintf("%d", st.FlapsUp),
-			fmt.Sprintf("%d", st.Withdrawn), fmt.Sprintf("%d", st.Rejoined),
-			fmt.Sprintf("%d", st.Skipped))
-	}
-	fmt.Fprintln(r.out, "Fault injector transitions per level")
-	ft.write(r.out)
-	fmt.Fprintln(r.out)
-
-	var pairs []pairResult
-	base := cells[0]
-	for _, cell := range cells[1:] {
-		for _, m := range churnMethods {
-			res, err := stats.PairedT(cell.Methods[m].Times, base.Methods[m].Times)
-			if err != nil {
-				continue
+		c := &fetch.Client{Net: w.Net, Dial: dep.Dial, Timeout: churnFileTimeout}
+		s := &gridSamples{}
+		completed, resumes := 0, 0
+		for i := 0; i < churnAttempts; i++ {
+			if i > 0 {
+				w.Net.Clock().Sleep(churnThink)
+				// Each attempt measures a cold path, like the bulk
+				// campaign — and spreads fault exposure over circuits.
+				dep.FreshCircuit()
 			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-none", m, cell.Level.Name), Res: res})
+			res := c.DownloadFileResumed(w.Origin.Addr(), size, churnMaxResumes)
+			resumes += res.Resumes
+			if res.Complete() {
+				completed++
+				s.Times = append(s.Times, seconds(res.Total))
+				s.TTFBs = append(s.TTFBs, seconds(res.TTFB))
+			} else {
+				s.Times = append(s.Times, churnFileTimeout.Seconds())
+				s.TTFBs = append(s.TTFBs, churnFileTimeout.Seconds())
+			}
 		}
+		rec := dep.Recovery()
+		s.Counters = counters(churnAttempts, completed, percent(completed, churnAttempts), resumes,
+			rec.Rebuilds, rec.BuildTimeouts, rec.StreamFailures, rec.ReAttaches, rec.Abandoned, rec.GuardProbations)
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	writePairedT(r.out, "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)", pairs)
-
-	fmt.Fprintln(r.out, "Expected: downloads survive churn through resume legs and circuit rebuilds — success stays high while recovery counters, not failure rates, absorb the damage.")
-	fmt.Fprintln(r.out)
-	return nil
+	st := w.FaultStats()
+	return &gridCell{Methods: results, Counters: counters(st.Crashes, st.Restarts, st.FlapsDown, st.FlapsUp,
+		st.Withdrawn, st.Rejoined, st.Skipped)}, nil
 }

@@ -2,210 +2,140 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
 )
 
-// This file implements "-exp contention": the guard-contention sweep
-// over the relay-overload scenario family. Each cell is one independent
-// world task — the same seed for every cell, so topology, catalogs and
-// relay draws are identical and the only difference between columns is
-// the competitor load (and, for the baseline cell, the scheduler
-// policy). It crosses the shared-guard methods {tor, obfs4, webtunnel}
-// with {competitor load}, reporting download-time and TTFB boxes versus
-// the uncontended baseline plus the guard's queueing-delay counters,
-// and re-runs the heaviest level under the FIFO scheduler to show what
-// EWMA priority buys.
-
-// contentionCell is one (level, policy) world-task result.
-type contentionCell struct {
-	Level  testbed.ContentionLevel
-	Policy string
-	// Times / TTFBs are aligned per (site, repeat) across methods and
-	// levels (failures recorded as the page timeout).
-	Times, TTFBs map[string][]float64
-	// Sched is the shared guard's scheduler snapshot at measurement end.
-	Sched tor.SchedStats
-}
+// This file declares "-exp contention": the guard-contention grid over
+// the relay-overload scenario family. Every cell is built from the same
+// seed, so the only difference between cells is the competitor load
+// (and, for the extra cell, the scheduler policy). It crosses the
+// shared-guard methods {tor, obfs4, webtunnel} with {competitor load},
+// reporting download-time and TTFB boxes versus the uncontended
+// baseline plus the guard's queueing-delay counters, and re-runs the
+// heaviest level under the FIFO scheduler to show what EWMA priority
+// buys.
 
 // contentionSites bounds the per-level site sample, like the paper's
 // five representative sites in the fixed-circuit experiments.
 const contentionSites = 5
 
-// contentionTask submits (once) one contention cell. All cells share
-// one world seed; fifo selects the pre-KIST baseline scheduler.
-func (r *Runner) contentionTask(li int, fifo bool) *sim.Future[any] {
-	key := fmt.Sprintf("contention:%d", li)
-	if fifo {
-		key += ":fifo"
-	}
-	lv := testbed.ContentionLevels[li]
-	opts := r.worldOptions(streamContention)
-	if fifo {
-		opts.SchedPolicy = tor.SchedFIFO
-	}
-	spec := r.cellSpec(
-		fmt.Sprintf("level=%s", lv.Name),
-		fmt.Sprintf("repeats=%d", r.cfg.Repeats),
-	)
-	return r.worldTask(key, opts, spec, jsonValue[*contentionCell](), func(w *testbed.World) (any, error) {
-		rig, err := w.NewContentionRig(lv)
-		if err != nil {
-			return nil, err
-		}
-		clock := w.Net.Clock()
-		rig.Start()
-		clock.Sleep(lv.RampTime())
+// contentionMethods share the guard: vanilla Tor and two set-1 bridges.
+var contentionMethods = []string{"tor", "obfs4", "webtunnel"}
 
-		// Pin middle and exit so every cell measures the identical
-		// circuit; only the guard's contention varies.
-		middle, mok := w.Dir.Lookup("middle-0")
-		exit, eok := w.Dir.Lookup("exit-0")
-		if !mok || !eok {
-			return nil, fmt.Errorf("harness: consensus lacks middle-0/exit-0")
-		}
-		clients, err := rig.Clients(middle, exit)
-		if err != nil {
-			return nil, err
-		}
-		sites := r.sites(w)
-		if len(sites) > contentionSites {
-			sites = sites[:contentionSites]
-		}
-		cell := &contentionCell{
-			Level:  lv,
-			Policy: opts.SchedPolicy.String(),
-			Times:  make(map[string][]float64),
-			TTFBs:  make(map[string][]float64),
-		}
-		for _, method := range rig.Methods() {
-			cl := clients[method]
-			if err := cl.Preheat(); err != nil {
-				return nil, fmt.Errorf("%s preheat: %w", method, err)
+// contentionDelayCol is the mean-queue-delay column of a cell's
+// counter row.
+const contentionDelayCol = 5
+
+func contentionGrid() *grid {
+	g := &grid{
+		prefix:  "contention",
+		stream:  streamContention,
+		methods: contentionMethods,
+		knobs:   func(c Config) string { return fmt.Sprintf("repeats=%d", c.Repeats) },
+		options: func(o *testbed.Options, lv gridLevel) {
+			if lv.extra {
+				o.SchedPolicy = tor.SchedFIFO
 			}
-			c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
-			for _, site := range sites {
-				for rep := 0; rep < r.cfg.Repeats; rep++ {
-					res := c.Get(w.Origin.Addr(), site.path, false)
-					if res.Err != nil || !res.Complete() {
-						cell.Times[method] = append(cell.Times[method], pageTimeout.Seconds())
-						cell.TTFBs[method] = append(cell.TTFBs[method], pageTimeout.Seconds())
-						continue
-					}
-					cell.Times[method] = append(cell.Times[method], seconds(res.Total))
-					cell.TTFBs[method] = append(cell.TTFBs[method], seconds(res.TTFB))
-				}
-			}
-			cl.Close()
-		}
-		// Stop before snapshotting: with the competitor circuits torn
-		// down the guard's queues are drained, so the reported counters
-		// satisfy queued == flushed + dropped.
-		rig.Stop()
-		cell.Sched = rig.GuardSched()
-		return cell, nil
-	})
+		},
+		measure: measureContention,
+		intro:   "Guard contention: %d methods × %d load levels over one shared guard (same world seed per cell)",
+		sep:     "@",
+		boxes: [2]string{"Download time under guard contention (s; failures count as the timeout)",
+			"Time to first byte under guard contention (s)"},
+		cellTitle: "Shared-guard cell scheduler (queueing delay is what FCFS relays hid)",
+		cellCols:  []string{"policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes"},
+		pairs:     "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)",
+		footer:    contentionFooter,
+		note:      "Expected: the measured (bursty) circuits pay queueing delay under FIFO that EWMA priority removes.\n\n",
+	}
+	for i, lv := range testbed.ContentionLevels {
+		g.levels = append(g.levels, gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
+	}
+	top := g.levels[len(g.levels)-1]
+	top.key, top.extra = top.key+":fifo", true
+	g.levels = append(g.levels, top)
+	return g
 }
 
-// prefetchContention submits every level plus the FIFO baseline of the
-// heaviest level.
-func prefetchContention(r *Runner) {
-	for li := range testbed.ContentionLevels {
-		r.contentionTask(li, false)
-	}
-	r.contentionTask(len(testbed.ContentionLevels)-1, true)
-}
-
-// runContention renders the guard-contention sweep.
-func (r *Runner) runContention() error {
-	levels := testbed.ContentionLevels
-	methods := []string{"tor", "obfs4", "webtunnel"}
-	fmt.Fprintf(r.out, "Guard contention: %d methods × %d load levels over one shared guard (same world seed per cell)\n\n",
-		len(methods), len(levels))
-	prefetchContention(r)
-
-	cells := make([]*contentionCell, len(levels))
-	for li := range levels {
-		v, err := r.contentionTask(li, false).Wait()
-		if err != nil {
-			return fmt.Errorf("contention %s: %w", levels[li].Name, err)
-		}
-		cells[li] = v.(*contentionCell)
-	}
-	vf, err := r.contentionTask(len(levels)-1, true).Wait()
+// measureContention runs one contention cell: the rig's competitors
+// load the shared guard while each method fetches the first sites over
+// an otherwise pinned circuit.
+func measureContention(r *Runner, w *testbed.World, methods []string, lv gridLevel) (*gridCell, error) {
+	level := testbed.ContentionLevels[lv.i]
+	rig, err := w.NewContentionRig(level)
 	if err != nil {
-		return fmt.Errorf("contention fifo baseline: %w", err)
+		return nil, err
 	}
-	fifo := vf.(*contentionCell)
+	rig.Start()
+	w.Net.Clock().Sleep(level.RampTime())
 
-	var timeRows, ttfbRows []struct {
-		Name string
-		Box  stats.Box
+	// Pin middle and exit so every cell measures the identical
+	// circuit; only the guard's contention varies.
+	middle, mok := w.Dir.Lookup("middle-0")
+	exit, eok := w.Dir.Lookup("exit-0")
+	if !mok || !eok {
+		return nil, fmt.Errorf("harness: consensus lacks middle-0/exit-0")
 	}
-	for _, cell := range cells {
-		for _, m := range methods {
-			label := fmt.Sprintf("%s@%s", m, cell.Level.Name)
-			timeRows = append(timeRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Times[m])})
-			ttfbRows = append(ttfbRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.TTFBs[m])})
+	clients, err := rig.Clients(middle, exit)
+	if err != nil {
+		return nil, err
+	}
+	sites := r.sites(w)
+	if len(sites) > contentionSites {
+		sites = sites[:contentionSites]
+	}
+	cell := &gridCell{Methods: make(map[string]*gridSamples, len(methods))}
+	for _, method := range methods {
+		cl := clients[method]
+		if err := cl.Preheat(); err != nil {
+			return nil, fmt.Errorf("%s preheat: %w", method, err)
 		}
-	}
-	r.writeBoxes("Download time under guard contention (s; failures count as the timeout)", timeRows)
-	r.writeBoxes("Time to first byte under guard contention (s)", ttfbRows)
-
-	t := newTable("level", "policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes")
-	addSched := func(cell *contentionCell) {
-		st := cell.Sched
-		t.add(cell.Level.Name, cell.Policy, fmt.Sprintf("%d", cell.Level.Competitors),
-			fmt.Sprintf("%d", st.Queued), fmt.Sprintf("%d", st.Flushed), fmt.Sprintf("%d", st.Dropped),
-			fmt.Sprintf("%.1fms", float64(st.MeanDelay())/float64(time.Millisecond)),
-			fmt.Sprintf("%d", st.Passes))
-	}
-	for _, cell := range cells {
-		addSched(cell)
-	}
-	addSched(fifo)
-	fmt.Fprintln(r.out, "Shared-guard cell scheduler (queueing delay is what FCFS relays hid)")
-	t.write(r.out)
-	fmt.Fprintln(r.out)
-
-	var pairs []pairResult
-	base := cells[0]
-	for _, cell := range cells[1:] {
-		for _, m := range methods {
-			res, err := stats.PairedT(cell.Times[m], base.Times[m])
-			if err != nil {
-				continue
+		c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
+		s := &gridSamples{}
+		for _, site := range sites {
+			for rep := 0; rep < r.cfg.Repeats; rep++ {
+				res := c.Get(w.Origin.Addr(), site.path, false)
+				if res.Err != nil || !res.Complete() {
+					s.Times = append(s.Times, pageTimeout.Seconds())
+					s.TTFBs = append(s.TTFBs, pageTimeout.Seconds())
+					continue
+				}
+				s.Times = append(s.Times, seconds(res.Total))
+				s.TTFBs = append(s.TTFBs, seconds(res.TTFB))
 			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-idle", m, cell.Level.Name), Res: res})
 		}
+		cell.Methods[method] = s
+		cl.Close()
 	}
-	writePairedT(r.out, "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)", pairs)
+	// Stop before snapshotting: with the competitor circuits torn
+	// down the guard's queues are drained, so the reported counters
+	// satisfy queued == flushed + dropped.
+	rig.Stop()
+	st := rig.GuardSched()
+	cell.Counters = counters(w.Opts.SchedPolicy, level.Competitors, st.Queued, st.Flushed, st.Dropped,
+		fmt.Sprintf("%.1fms", float64(st.MeanDelay())/float64(time.Millisecond)), st.Passes)
+	return cell, nil
+}
 
-	top := cells[len(cells)-1]
-	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %.1fms vs %.1fms",
-		top.Level.Name,
-		float64(top.Sched.MeanDelay())/float64(time.Millisecond),
-		float64(fifo.Sched.MeanDelay())/float64(time.Millisecond))
-	for _, m := range methods {
-		res, err := stats.PairedT(fifo.Times[m], top.Times[m])
+// contentionFooter compares the top load level's EWMA cell with its
+// FIFO re-run (the last two cells).
+func contentionFooter(r *Runner, cells []*gridCell) {
+	top, fifo := cells[len(cells)-2], cells[len(cells)-1]
+	levels := testbed.ContentionLevels
+	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %s vs %s", levels[len(levels)-1].Name,
+		top.Counters[contentionDelayCol], fifo.Counters[contentionDelayCol])
+	for _, m := range contentionMethods {
+		res, err := stats.PairedT(fifo.Methods[m].Times, top.Methods[m].Times)
 		if err != nil {
 			continue
 		}
 		fmt.Fprintf(r.out, "; %s fifo−ewma mean-diff %.2fs", m, res.MeanDiff)
 	}
 	fmt.Fprintln(r.out)
-	fmt.Fprintln(r.out, "Expected: the measured (bursty) circuits pay queueing delay under FIFO that EWMA priority removes.")
-	fmt.Fprintln(r.out)
-	return nil
 }

@@ -18,26 +18,16 @@ import (
 // values) on the shard executor, and the run* method joins the future
 // and renders the report. Prefetching submits every task before any
 // render, so "-exp all" keeps all -jobs cores busy while reports still
-// come out strictly in paper order.
+// come out strictly in paper order. The {methods} × {axis} experiments
+// (medium, fig7) are grid entries instead (grid.go).
 
 // boxRows builds the standard per-method box table from a dataset.
-func boxRows(data map[string]*accessData, pick func(*accessData) []float64, order []string) []struct {
-	Name string
-	Box  stats.Box
-} {
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+func boxRows(data map[string]*accessData, pick func(*accessData) []float64, order []string) []boxRow {
+	var rows []boxRow
 	for _, name := range order {
-		d, ok := data[name]
-		if !ok {
-			continue
+		if d, ok := data[name]; ok {
+			rows = append(rows, boxRow{name, stats.Summarize(pick(d))})
 		}
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{name, stats.Summarize(pick(d))})
 	}
 	return rows
 }
@@ -85,15 +75,14 @@ func (r *Runner) runTable2() error {
 	return nil
 }
 
-// accessSamples measures plain curl access for every method of one
-// world, returning per-method aligned sample vectors. Shared by the
-// medium and location world tasks.
-func (r *Runner) accessSamples(w *testbed.World, methods []string) (map[string][]float64, error) {
+// measureSites is the medium and location measure: plain curl access
+// to the first Sites sites, per method.
+func measureSites(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*gridCell, error) {
 	sites := r.sites(w)
 	if len(sites) > r.cfg.Sites {
 		sites = sites[:r.cfg.Sites]
 	}
-	results, err := r.forEachMethod(w, methods, func(name string) (any, error) {
+	results, err := forEachMethod(r, w, methods, methodsInFlight, func(name string) (*gridSamples, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -102,78 +91,45 @@ func (r *Runner) accessSamples(w *testbed.World, methods []string) (map[string][
 			return nil, err
 		}
 		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		var xs []float64
+		s := &gridSamples{}
 		for _, site := range sites {
 			res := c.Get(w.Origin.Addr(), site.path, false)
-			xs = append(xs, seconds(res.Total))
+			s.Times = append(s.Times, seconds(res.Total))
 		}
-		return xs, nil
+		return s, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]float64, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and readers order methods explicitly before rendering.
-	for name, v := range results {
-		if xs, ok := v.([]float64); ok {
-			out[name] = xs
-		}
-	}
-	return out, nil
+	return &gridCell{Methods: results}, nil
 }
 
-// mediumMethods and mediumKinds are the §4.7 grid; prefetchMedium and
-// runMedium must iterate the same cells, so both loop over mediumKinds.
-var (
-	mediumMethods = []string{"tor", "obfs4", "meek", "dnstt", "cloak"}
-	mediumKinds   = []geo.Medium{geo.Wired, geo.Wireless}
-)
-
-// mediumTask submits the §4.7 world for one access medium.
-func (r *Runner) mediumTask(mi int, medium geo.Medium) *sim.Future[any] {
-	opts := r.worldOptions(streamMedium, int64(mi))
-	opts.Medium = medium
-	opts.ClientLocation = geo.Toronto
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", mediumMethods))
-	return r.worldTask("medium:"+medium.String(), opts, spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			return r.accessSamples(w, mediumMethods)
-		})
+// mediumGrid reproduces §4.7: the same website-access measurement over
+// a wired and a wireless (campus WiFi) client in Toronto, expecting no
+// change in the between-transport trend.
+func mediumGrid() *grid {
+	g := &grid{
+		prefix:      "medium",
+		stream:      streamMedium,
+		seedByLevel: true,
+		methods:     []string{"tor", "obfs4", "meek", "dnstt", "cloak"},
+		options: func(o *testbed.Options, lv gridLevel) {
+			o.Medium = mediumKinds[lv.i]
+			o.ClientLocation = geo.Toronto
+		},
+		measure: measureSites,
+		sep:     "/",
+		boxes:   [2]string{"Website access time by access medium (s)"},
+		note:    "Expected: the between-transport ordering is unchanged by the medium (§4.7).\n",
+	}
+	for i, m := range mediumKinds {
+		g.levels = append(g.levels, gridLevel{key: m.String(), label: m.String(), i: i})
+	}
+	return g
 }
 
-func prefetchMedium(r *Runner) {
-	for mi, medium := range mediumKinds {
-		r.mediumTask(mi, medium)
-	}
-}
-
-// runMedium reproduces §4.7: the same website-access measurement over a
-// wired and a wireless (campus WiFi) client, expecting no change in the
-// between-transport trend.
-func (r *Runner) runMedium() error {
-	prefetchMedium(r) // both media in flight before the first join
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for mi, medium := range mediumKinds {
-		v, err := r.mediumTask(mi, medium).Wait()
-		if err != nil {
-			return err
-		}
-		samples := v.(map[string][]float64)
-		for _, name := range mediumMethods {
-			rows = append(rows, struct {
-				Name string
-				Box  stats.Box
-			}{fmt.Sprintf("%s/%s", name, medium), stats.Summarize(samples[name])})
-		}
-	}
-	r.writeBoxes("Website access time by access medium (s)", rows)
-	fmt.Fprintln(r.out, "Expected: the between-transport ordering is unchanged by the medium (§4.7).")
-	return nil
-}
+// mediumKinds are the §4.7 access media.
+var mediumKinds = []geo.Medium{geo.Wired, geo.Wireless}
 
 // runFig2a prints the curl website-access box plots.
 func (r *Runner) runFig2a() error {
@@ -284,15 +240,9 @@ func (r *Runner) runFig3() error {
 	}
 	fc := v.(*fixedCircuitData)
 	samples := fc.Samples
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+	var rows []boxRow
 	for _, m := range fc.Methods {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(samples[m])})
+		rows = append(rows, boxRow{m, stats.Summarize(samples[m])})
 	}
 	r.writeBoxes("Fixed circuit (same guard/middle/exit) website access time (s)", rows)
 
@@ -325,15 +275,9 @@ func (r *Runner) runFig4() error {
 		return err
 	}
 	samples := v.(*fixedCircuitData).Samples
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+	var rows []boxRow
 	for _, m := range []string{"tor", "obfs4"} {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(samples[m])})
+		rows = append(rows, boxRow{m, stats.Summarize(samples[m])})
 	}
 	r.writeBoxes("Fixed guard, Tor-selected middle/exit: website access time (s)", rows)
 	return nil
@@ -397,55 +341,27 @@ func (r *Runner) runFig6() error {
 	return nil
 }
 
-// fig7Methods and fig7Locations are the paper's §4.5 grid.
-var (
-	fig7Methods   = []string{"obfs4", "meek", "snowflake"}
-	fig7Locations = []geo.Location{geo.Bangalore, geo.London, geo.Toronto}
-)
-
-// fig7Task submits the location world for one client city.
-func (r *Runner) fig7Task(li int) *sim.Future[any] {
-	loc := fig7Locations[li]
-	opts := r.worldOptions(streamFig7, int64(li))
-	opts.ClientLocation = loc
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", fig7Methods))
-	return r.worldTask("fig7:"+loc.Short(), opts, spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			return r.accessSamples(w, fig7Methods)
-		})
+// fig7Grid measures meek/obfs4/snowflake from the paper's three client
+// cities (§4.5), one independent world per city.
+func fig7Grid() *grid {
+	g := &grid{
+		prefix:      "fig7",
+		stream:      streamFig7,
+		seedByLevel: true,
+		methods:     []string{"obfs4", "meek", "snowflake"},
+		options:     func(o *testbed.Options, lv gridLevel) { o.ClientLocation = fig7Locations[lv.i] },
+		measure:     measureSites,
+		sep:         "@",
+		boxes:       [2]string{"Website access time by client location (s)"},
+	}
+	for i, loc := range fig7Locations {
+		g.levels = append(g.levels, gridLevel{key: loc.Short(), label: loc.Short(), i: i})
+	}
+	return g
 }
 
-func prefetchFig7(r *Runner) {
-	for li := range fig7Locations {
-		r.fig7Task(li)
-	}
-}
-
-// runFig7 measures meek/obfs4/snowflake from the paper's three client
-// cities — one independent world per city, all three in flight at once.
-func (r *Runner) runFig7() error {
-	prefetchFig7(r)
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for li, loc := range fig7Locations {
-		v, err := r.fig7Task(li).Wait()
-		if err != nil {
-			return err
-		}
-		samples := v.(map[string][]float64)
-		for _, name := range fig7Methods {
-			rows = append(rows, struct {
-				Name string
-				Box  stats.Box
-			}{fmt.Sprintf("%s@%s", name, loc.Short()), stats.Summarize(samples[name])})
-		}
-	}
-	r.writeBoxes("Website access time by client location (s)", rows)
-	return nil
-}
+// fig7Locations are the paper's three client cities.
+var fig7Locations = []geo.Location{geo.Bangalore, geo.London, geo.Toronto}
 
 // runFig8 prints reliability: the complete/partial/failed split (8a)
 // and the downloaded-fraction ECDF for the three unreliable PTs (8b).
@@ -493,7 +409,7 @@ func (r *Runner) fig9Task() *sim.Future[any] {
 			if len(sites) > r.cfg.Sites {
 				sites = sites[:r.cfg.Sites]
 			}
-			results, err := r.forEachMethod(w, testbed.OverheadPTs, func(name string) (any, error) {
+			return forEachMethod(r, w, testbed.OverheadPTs, methodsInFlight, func(name string) ([]float64, error) {
 				rig, err := w.NewOverheadRig(name, int64(len(name))*13)
 				if err != nil {
 					return nil, err
@@ -508,17 +424,6 @@ func (r *Runner) fig9Task() *sim.Future[any] {
 				}
 				return diffs, nil
 			})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string][]float64, len(results))
-			//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and readers order methods explicitly before rendering.
-			for name, v := range results {
-				if diffs, ok := v.([]float64); ok {
-					out[name] = diffs
-				}
-			}
-			return out, nil
 		})
 }
 
@@ -530,15 +435,9 @@ func (r *Runner) runFig9() error {
 		return err
 	}
 	samples := v.(map[string][]float64)
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+	var rows []boxRow
 	for _, name := range testbed.OverheadPTs {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{name, stats.Summarize(samples[name])})
+		rows = append(rows, boxRow{name, stats.Summarize(samples[name])})
 	}
 	r.writeBoxes("PT − vanilla Tor time difference on an identical circuit (s)", rows)
 	return nil
@@ -643,10 +542,7 @@ func (r *Runner) runFig10() error {
 		return err
 	}
 	surge := v.(*surgeAccess)
-	rows := []struct {
-		Name string
-		Box  stats.Box
-	}{
+	rows := []boxRow{
 		{"pre-September", stats.Summarize(surge.Pre)},
 		{"post-September", stats.Summarize(surge.Post)},
 	}
@@ -712,15 +608,9 @@ func (r *Runner) runFig12() error {
 	if err != nil {
 		return err
 	}
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+	var rows []boxRow
 	for _, s := range v.([]labeledSamples) {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{s.Label, stats.Summarize(s.Xs)})
+		rows = append(rows, boxRow{s.Label, stats.Summarize(s.Xs)})
 	}
 	r.writeBoxes("Snowflake monthly website access time (s)", rows)
 	return nil

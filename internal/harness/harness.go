@@ -69,10 +69,11 @@ type Config struct {
 	Plot bool
 	// MetricsInterval enables per-cell metric timelines (internal/obs),
 	// sampled every MetricsInterval of virtual time on each world's own
-	// clock. Zero disables sampling entirely — the sampler's timer
-	// interleaves with the campaign, so plain runs stay byte-identical
-	// to pre-observability ones. The interval is part of every cache
-	// digest.
+	// clock. Zero disables sampling. Sampling never changes a report:
+	// the sampler wakes only on its own timer and readies no other
+	// goroutine, so every other event keeps its order. The interval is
+	// still part of every cache digest, because a metrics-off entry
+	// stores no timeline for a metrics-on run to replay.
 	MetricsInterval time.Duration
 	// Progress, when non-nil, receives a streaming per-cell status line
 	// (cells queued/running/done, virtual-time horizon per running
@@ -183,8 +184,9 @@ type Experiment struct {
 	Artifact string
 	// Title is a one-line description.
 	Title string
-	// Optional experiments (the censor scenarios and the sweep) go
-	// beyond the paper's artifacts and are excluded from "all".
+	// Optional experiments (the censor scenarios, the sweep, guard
+	// contention and relay churn) go beyond the paper's artifacts and
+	// are excluded from "all".
 	Optional bool
 	// prefetch submits the experiment's world tasks without waiting,
 	// so "all" overlaps every experiment's simulation work across the
@@ -205,13 +207,13 @@ func Experiments() []Experiment {
 		{ID: "fig4", Artifact: "Figure 4", Title: "fixed guard, variable middle/exit", prefetch: func(r *Runner) { r.fig4Task() }, run: (*Runner).runFig4},
 		{ID: "fig5", Artifact: "Figure 5", Title: "file download time by size", prefetch: prefetchFiles, run: (*Runner).runFig5},
 		{ID: "fig6", Artifact: "Figure 6", Title: "time to first byte ECDF", prefetch: prefetchCurl, run: (*Runner).runFig6},
-		{ID: "fig7", Artifact: "Figure 7", Title: "client-location variation", prefetch: prefetchFig7, run: (*Runner).runFig7},
+		gridExperiment(fig7Grid(), "fig7", "Figure 7", "client-location variation", false),
 		{ID: "fig8", Artifact: "Figure 8a/8b", Title: "download reliability", prefetch: prefetchFiles, run: (*Runner).runFig8},
 		{ID: "fig9", Artifact: "Figure 9", Title: "PT overhead vs vanilla Tor", prefetch: func(r *Runner) { r.fig9Task() }, run: (*Runner).runFig9},
 		{ID: "fig10", Artifact: "Figure 10a/10b", Title: "snowflake under load", prefetch: func(r *Runner) { r.fig10Task() }, run: (*Runner).runFig10},
 		{ID: "fig11", Artifact: "Figure 11", Title: "speed index", prefetch: prefetchSelenium, run: (*Runner).runFig11},
 		{ID: "fig12", Artifact: "Figure 12", Title: "snowflake post-September months", prefetch: func(r *Runner) { r.fig12Task() }, run: (*Runner).runFig12},
-		{ID: "medium", Artifact: "Section 4.7", Title: "wired vs wireless access medium", prefetch: prefetchMedium, run: (*Runner).runMedium},
+		gridExperiment(mediumGrid(), "medium", "Section 4.7", "wired vs wireless access medium", false),
 		{ID: "table3", Artifact: "Tables 3–4", Title: "paired t-tests, curl access", prefetch: prefetchCurl, run: (*Runner).runTables34},
 		{ID: "table5", Artifact: "Tables 5–6", Title: "paired t-tests, selenium access", prefetch: prefetchSelenium, run: (*Runner).runTables56},
 		{ID: "table7", Artifact: "Table 7", Title: "paired t-tests, file download", prefetch: prefetchFiles, run: (*Runner).runTable7},
@@ -219,42 +221,22 @@ func Experiments() []Experiment {
 		{ID: "table10", Artifact: "Table 10", Title: "paired t-tests, PT categories", prefetch: prefetchCurl, run: (*Runner).runTable10},
 	}
 	for _, name := range censor.Names() {
-		name := name
 		sc, _ := censor.Lookup(name)
-		exps = append(exps, Experiment{
-			ID:       "scenario:" + name,
-			Artifact: "Censor layer",
-			Title:    sc.Description,
-			Optional: true,
-			prefetch: func(r *Runner) { r.scenarioTask(name) },
-			run:      func(r *Runner) error { return r.runScenario(name) },
-		})
+		exps = append(exps, gridExperiment(scenarioGrid(name), "scenario:"+name, "Censor layer", sc.Description, true))
 	}
-	exps = append(exps, Experiment{
-		ID:       "sweep",
-		Artifact: "Censor layer",
-		Title:    "scenario sweep: {transports} × {scenarios} vs the clean baseline",
-		Optional: true,
-		prefetch: prefetchSweep,
-		run:      (*Runner).runSweep,
-	})
-	exps = append(exps, Experiment{
-		ID:       "contention",
-		Artifact: "Relay scheduler",
-		Title:    "guard-contention sweep: {tor,obfs4,webtunnel} × {competitor load} + FIFO baseline",
-		Optional: true,
-		prefetch: prefetchContention,
-		run:      (*Runner).runContention,
-	})
-	exps = append(exps, Experiment{
-		ID:       "churn",
-		Artifact: "Failure & recovery",
-		Title:    "churn-resilience sweep: {tor,obfs4,webtunnel,snowflake} × {relay churn rate} vs the fault-free baseline",
-		Optional: true,
-		prefetch: prefetchChurn,
-		run:      (*Runner).runChurn,
-	})
-	return exps
+	return append(exps,
+		gridExperiment(sweepGrid(), "sweep", "Censor layer",
+			"scenario sweep: {transports} × {scenarios} vs the clean baseline", true),
+		gridExperiment(contentionGrid(), "contention", "Relay scheduler",
+			"guard-contention sweep: {tor,obfs4,webtunnel} × {competitor load} + FIFO baseline", true),
+		gridExperiment(churnGrid(), "churn", "Failure & recovery",
+			"churn-resilience sweep: {tor,obfs4,webtunnel,snowflake} × {relay churn rate} vs the fault-free baseline", true),
+	)
+}
+
+// gridExperiment registers a grid entry as an experiment.
+func gridExperiment(g *grid, id, artifact, title string, optional bool) Experiment {
+	return Experiment{ID: id, Artifact: artifact, Title: title, Optional: optional, prefetch: g.prefetch, run: g.run}
 }
 
 func prefetchCurl(r *Runner)     { r.curlTask() }
@@ -262,7 +244,8 @@ func prefetchSelenium(r *Runner) { r.seleniumTask() }
 func prefetchFiles(r *Runner)    { r.filesTask() }
 
 // Run executes one experiment by ID ("all" runs every paper artifact;
-// the scenario experiments and the sweep run by explicit ID).
+// the optional experiments — censor scenarios, sweep, contention and
+// churn — run by explicit ID).
 func (r *Runner) Run(id string) error {
 	if id == "all" {
 		exps := Experiments()
@@ -362,26 +345,26 @@ func (r *Runner) sites(w *testbed.World) []siteRef {
 	return out
 }
 
-// forEachMethod runs fn for each configured method over world w, in
-// parallel unless Sequential, and returns results keyed by method name.
-// The per-method goroutines are simulation goroutines on w's scheduler,
-// so they interleave deterministically at virtual-time waits.
-func (r *Runner) forEachMethod(w *testbed.World, methods []string, fn func(name string) (any, error)) (map[string]any, error) {
-	return r.forEachMethodN(w, methods, r.parallelism(), fn)
-}
+// methodsInFlight bounds how many methods measure concurrently in one
+// world.
+const methodsInFlight = 16
 
-// forEachMethodN bounds the concurrency explicitly; bulk campaigns use a
-// low bound so simultaneous downloads do not contend on the shared relay
-// fleet in a way the paper's time-gapped measurements never did. All
-// per-method errors are aggregated (errors.Join); failed methods leave
-// no entry in the result map. Error order is deterministic: the
-// per-method goroutines finish in virtual-time order.
-func (r *Runner) forEachMethodN(w *testbed.World, methods []string, limit int, fn func(name string) (any, error)) (map[string]any, error) {
-	if r.cfg.Sequential || limit < 1 {
+// forEachMethod runs fn for each method over world w, at most limit at
+// a time (one at a time when Sequential), and returns results keyed by
+// method name. Bulk campaigns use a limit of 1 so simultaneous
+// downloads do not contend on the shared relay fleet in a way the
+// paper's time-gapped measurements never did. The per-method
+// goroutines are simulation goroutines on w's scheduler, so they
+// interleave deterministically at virtual-time waits. All per-method
+// errors are aggregated (errors.Join); failed methods leave no entry
+// in the result map. Error order is deterministic: the per-method
+// goroutines finish in virtual-time order.
+func forEachMethod[T any](r *Runner, w *testbed.World, methods []string, limit int, fn func(name string) (T, error)) (map[string]T, error) {
+	if r.cfg.Sequential {
 		limit = 1
 	}
 	clock := w.Net.Clock()
-	out := make(map[string]any, len(methods))
+	out := make(map[string]T, len(methods))
 	var mu sync.Mutex
 	var errs []error
 	wg := netem.NewWaitGroup(clock)
@@ -405,13 +388,6 @@ func (r *Runner) forEachMethodN(w *testbed.World, methods []string, limit int, f
 	}
 	wg.Wait()
 	return out, errors.Join(errs...)
-}
-
-func (r *Runner) parallelism() int {
-	if r.cfg.Sequential {
-		return 1
-	}
-	return 16
 }
 
 // seconds converts a virtual duration to float seconds for stats.

@@ -65,9 +65,10 @@ func (r *Runner) CacheStats() obs.CacheStats {
 }
 
 // cellSpec renders the campaign-input spec of one cell kind: the
-// globally relevant knobs first (sampling interval changes the world's
-// event stream; Sequential changes per-method concurrency), then the
-// cell kind's own.
+// globally relevant knobs first, then the cell kind's own. Sequential
+// changes per-method concurrency. The sampling interval changes no
+// result, but it stays in the spec because a metrics-off entry stores
+// no timeline: a metrics-on run must not hit it.
 func (r *Runner) cellSpec(parts ...string) string {
 	base := []string{
 		fmt.Sprintf("metrics=%s", r.cfg.MetricsInterval),

@@ -6,40 +6,15 @@ import (
 
 	"ptperf/internal/censor"
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
-	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 )
 
-// This file implements the censor-scenario experiments: "scenario:<name>"
-// runs one named interference scenario across the configured transports,
-// and "sweep" crosses {transports} × {scenarios}, reporting per-scenario
-// access-time boxes, reliability splits, censor interference counters,
-// and paired t-tests against the clean baseline. Every scenario world is
-// built from the same seed, so the only difference between columns is
-// the interference itself — which is what makes the paired comparisons
-// meaningful.
-//
-// Each scenario cell is one independent world task: the sweep submits
-// every cell to the shard executor up front and joins them in canonical
-// scenario order, so -jobs N runs the whole matrix N worlds at a time
-// with byte-identical reports.
-
-// scenarioResult holds one method's access outcomes under one scenario.
-// Times is aligned by site index (failures recorded as the page
-// timeout), keeping vectors pairable across scenarios and methods.
-type scenarioResult struct {
-	Name   string
-	Times  []float64
-	OK     int
-	Failed int
-}
-
-// scenarioCell is one sweep cell's world-task result.
-type scenarioCell struct {
-	Data  map[string]*scenarioResult
-	Stats censor.Stats
-}
+// This file declares the censor-scenario grids: "scenario:<name>" runs
+// one named interference scenario across the configured transports,
+// and "sweep" crosses {transports} × {scenarios} with paired t-tests
+// against the clean baseline. Every scenario world is built from the
+// same seed, so the only difference between cells is the interference
+// itself — which is what makes the paired comparisons meaningful.
 
 // sweepScenarios orders the sweep: the clean baseline first, then the
 // built-in narrative order, then any extra registered scenarios.
@@ -59,20 +34,43 @@ func sweepScenarios() []string {
 	return append(order, extra...)
 }
 
-// scenarioOptions builds one scenario cell's world options. All
-// scenarios share one world seed stream, so topology, catalogs and
-// relay draws are identical across the sweep.
-func (r *Runner) scenarioOptions(name string) testbed.Options {
-	opts := r.worldOptions(streamScenario)
-	opts.Scenario = name
-	return opts
+// scenarioGrid measures the configured transports under each named
+// scenario, one report section per scenario.
+func scenarioGrid(names ...string) *grid {
+	g := &grid{
+		prefix:  "scenario",
+		stream:  streamScenario,
+		options: func(o *testbed.Options, lv gridLevel) { o.Scenario = lv.key },
+		measure: measureScenario,
+		perCell: true,
+		sep:     "@",
+		boxes: [2]string{fmt.Sprintf("Website access time under scenario %%q (s; failures count as the %gs timeout)",
+			pageTimeout.Seconds())},
+		methodTitle: "Access reliability under %q",
+		methodCols:  []string{"ok", "failed", "ok%"},
+		cellTitle:   "censor:",
+		cellCols:    []string{"blocked-dials", "flows-cut", "resets", "loss-events", "throttled-segments"},
+	}
+	for i, n := range names {
+		g.levels = append(g.levels, gridLevel{key: n, label: n, i: i})
+	}
+	return g
 }
 
-// scenarioAccess measures website access for every configured transport
-// under one named scenario, over an already-built world.
-func (r *Runner) scenarioAccess(w *testbed.World) (map[string]*scenarioResult, censor.Stats, error) {
+// sweepGrid is every scenario, paired against the clean baseline.
+func sweepGrid() *grid {
+	g := scenarioGrid(sweepScenarios()...)
+	g.intro = "Scenario sweep: %d transports × %d scenarios (same world seed per scenario)"
+	g.pairs = "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)"
+	return g
+}
+
+// measureScenario measures website access for every method under the
+// world's scenario: one Get per site, failures recorded as the page
+// timeout, plus the censor's interference counters.
+func measureScenario(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*gridCell, error) {
 	sites := r.sites(w)
-	results, err := r.forEachMethod(w, r.cfg.Transports, func(method string) (any, error) {
+	results, err := forEachMethod(r, w, methods, methodsInFlight, func(method string) (*gridSamples, error) {
 		d, err := w.Deployment(method)
 		if err != nil {
 			return nil, err
@@ -81,156 +79,28 @@ func (r *Runner) scenarioAccess(w *testbed.World) (map[string]*scenarioResult, c
 		// accesses themselves record the failure.
 		_ = d.Preheat()
 		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		res := &scenarioResult{Name: method}
+		s := &gridSamples{}
+		failed := 0
 		for _, site := range sites {
 			got := c.Get(w.Origin.Addr(), site.path, false)
 			if got.Err != nil || !got.Complete() {
-				res.Times = append(res.Times, pageTimeout.Seconds())
-				res.Failed++
+				s.Times = append(s.Times, pageTimeout.Seconds())
+				failed++
 				continue
 			}
-			res.Times = append(res.Times, seconds(got.Total))
-			res.OK++
+			s.Times = append(s.Times, seconds(got.Total))
 		}
+		s.Counters = counters(len(sites)-failed, failed, percent(len(sites)-failed, len(sites)))
 		// Park the transport's tunnels (see measureAccess).
 		d.FreshCircuit()
-		return res, nil
+		return s, nil
 	})
 	if err != nil {
-		return nil, censor.Stats{}, err
-	}
-	out := make(map[string]*scenarioResult, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-	for method, v := range results {
-		if v != nil {
-			out[method] = v.(*scenarioResult)
-		}
+		return nil, err
 	}
 	var st censor.Stats
 	if w.Censor != nil {
 		st = w.Censor.Stats()
 	}
-	return out, st, nil
-}
-
-// scenarioTask submits (once) the world task of one scenario cell.
-func (r *Runner) scenarioTask(name string) *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", r.cfg.Transports))
-	return r.worldTask("scenario:"+name, r.scenarioOptions(name), spec,
-		jsonValue[*scenarioCell](),
-		func(w *testbed.World) (any, error) {
-			data, st, err := r.scenarioAccess(w)
-			if err != nil {
-				return nil, err
-			}
-			return &scenarioCell{Data: data, Stats: st}, nil
-		})
-}
-
-// prefetchSweep submits every sweep cell.
-func prefetchSweep(r *Runner) {
-	for _, name := range sweepScenarios() {
-		r.scenarioTask(name)
-	}
-}
-
-// writeScenarioReport prints one scenario's boxes, reliability split and
-// interference counters.
-func (r *Runner) writeScenarioReport(name string, data map[string]*scenarioResult, st censor.Stats) {
-	order := orderedMethods(r.cfg.Transports)
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, m := range order {
-		d, ok := data[m]
-		if !ok {
-			continue
-		}
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(d.Times)})
-	}
-	r.writeBoxes(fmt.Sprintf("Website access time under scenario %q (s; failures count as the %gs timeout)",
-		name, pageTimeout.Seconds()), rows)
-
-	t := newTable("method", "ok", "failed", "ok%")
-	for _, m := range order {
-		d, ok := data[m]
-		if !ok {
-			continue
-		}
-		total := d.OK + d.Failed
-		if total == 0 {
-			continue
-		}
-		t.add(m, fmt.Sprintf("%d", d.OK), fmt.Sprintf("%d", d.Failed),
-			fmt.Sprintf("%.0f%%", 100*float64(d.OK)/float64(total)))
-	}
-	fmt.Fprintf(r.out, "Access reliability under %q\n", name)
-	t.write(r.out)
-	fmt.Fprintf(r.out, "censor: blocked-dials=%d flows-cut=%d resets=%d loss-events=%d throttled-segments=%d\n\n",
-		st.BlockedDials, st.FlowsCut, st.Resets, st.LossEvents, st.ThrottledSegments)
-}
-
-// runScenario reproduces one named scenario across the configured
-// transports.
-func (r *Runner) runScenario(name string) error {
-	if _, err := censor.Lookup(name); err != nil {
-		return err
-	}
-	v, err := r.scenarioTask(name).Wait()
-	if err != nil {
-		return err
-	}
-	cell := v.(*scenarioCell)
-	r.writeScenarioReport(name, cell.Data, cell.Stats)
-	return nil
-}
-
-// runSweep crosses {transports} × {scenarios}: per-scenario reports plus
-// paired t-tests of every transport against its clean baseline. All
-// cells run concurrently on the shard executor; reports join in
-// canonical scenario order.
-func (r *Runner) runSweep() error {
-	names := sweepScenarios()
-	fmt.Fprintf(r.out, "Scenario sweep: %d transports × %d scenarios (same world seed per scenario)\n\n",
-		len(r.cfg.Transports), len(names))
-	prefetchSweep(r)
-	all := make(map[string]map[string]*scenarioResult, len(names))
-	for _, name := range names {
-		v, err := r.scenarioTask(name).Wait()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", name, err)
-		}
-		cell := v.(*scenarioCell)
-		all[name] = cell.Data
-		r.writeScenarioReport(name, cell.Data, cell.Stats)
-	}
-
-	clean, ok := all["clean"]
-	if !ok {
-		return nil
-	}
-	var pairs []pairResult
-	for _, name := range names {
-		if name == "clean" {
-			continue
-		}
-		for _, m := range orderedMethods(r.cfg.Transports) {
-			base, okB := clean[m]
-			under, okU := all[name][m]
-			if !okB || !okU {
-				continue
-			}
-			res, err := stats.PairedT(under.Times, base.Times)
-			if err != nil {
-				continue
-			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-clean", m, name), Res: res})
-		}
-	}
-	writePairedT(r.out, "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)", pairs)
-	return nil
+	return &gridCell{Methods: results, Counters: counters(st.BlockedDials, st.FlowsCut, st.Resets, st.LossEvents, st.ThrottledSegments)}, nil
 }

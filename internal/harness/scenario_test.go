@@ -77,12 +77,32 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 	}
 	r := New(cfg, io.Discard)
 
-	measure := func(name string) (map[string]*scenarioResult, censor.Stats, error) {
-		w, err := testbed.New(r.scenarioOptions(name))
+	// measure runs one scenario cell directly, bypassing the task cache.
+	measure := func(name string) (map[string]*gridSamples, censor.Stats, error) {
+		g := scenarioGrid(name)
+		w, err := testbed.New(g.cellOptions(r, g.levels[0]))
 		if err != nil {
 			return nil, censor.Stats{}, err
 		}
-		return r.scenarioAccess(w)
+		cell, err := g.measure(r, w, cfg.Transports, g.levels[0])
+		if err != nil {
+			return nil, censor.Stats{}, err
+		}
+		var st censor.Stats
+		if w.Censor != nil {
+			st = w.Censor.Stats()
+		}
+		return cell.Methods, st, nil
+	}
+	// failed counts the accesses recorded as the page timeout.
+	failed := func(s *gridSamples) int {
+		n := 0
+		for _, x := range s.Times {
+			if x == pageTimeout.Seconds() {
+				n++
+			}
+		}
+		return n
 	}
 
 	clean, cleanStats, err := measure("clean")
@@ -92,9 +112,9 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 	if cleanStats.BlockedDials != 0 || cleanStats.ThrottledSegments != 0 {
 		t.Fatalf("clean scenario applied interference: %+v", cleanStats)
 	}
-	for m, d := range clean {
-		if d.Failed != 0 {
-			t.Errorf("clean: %s had %d failed accesses", m, d.Failed)
+	for _, m := range cfg.Transports {
+		if n := failed(clean[m]); n != 0 {
+			t.Errorf("clean: %s had %d failed accesses", m, n)
 		}
 	}
 
@@ -122,12 +142,12 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 	if blStats.BlockedDials == 0 {
 		t.Error("bridge-block refused no dials")
 	}
-	if blocked["obfs4"].Failed == 0 {
+	if failed(blocked["obfs4"]) == 0 {
 		t.Error("bridge-block: obfs4's pinned bridge should fail once blocked")
 	}
 	// meek's CDN front stays reachable: domain fronting survives the
 	// block while direct bridges die.
-	if blocked["meek"].Failed != 0 {
-		t.Errorf("bridge-block: meek should survive via its front, had %d failures", blocked["meek"].Failed)
+	if n := failed(blocked["meek"]); n != 0 {
+		t.Errorf("bridge-block: meek should survive via its front, had %d failures", n)
 	}
 }

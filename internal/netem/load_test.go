@@ -38,7 +38,7 @@ func TestReloadRecomputesBoth(t *testing.T) {
 // a latency-bound (small) transfer pays for a saturated first hop.
 func TestLoadedHopSlowsSmallTransfers(t *testing.T) {
 	run := func(util float64) time.Duration {
-		n := New(WithTimeScale(0.005), WithSeed(17))
+		n := New(WithSeed(17))
 		src := n.MustAddHost(HostConfig{Name: "src", Location: geo.London})
 		relay := n.MustAddHost(HostConfig{Name: "relay", Location: geo.Frankfurt, Utilization: util, UplinkBps: 8 << 20, DownlinkBps: 8 << 20})
 		dst := n.MustAddHost(HostConfig{Name: "dst", Location: geo.NewYork})
@@ -90,7 +90,7 @@ func TestWirelessMediumAddsJitterAndLoss(t *testing.T) {
 	// Repeated small round trips over WiFi should show more variance
 	// than over Ethernet.
 	measure := func(medium geo.Medium) (mean, max time.Duration) {
-		n := New(WithTimeScale(0.005), WithSeed(23))
+		n := New(WithSeed(23))
 		a := n.MustAddHost(HostConfig{Name: "a", Location: geo.Toronto, Medium: medium})
 		b := n.MustAddHost(HostConfig{Name: "b", Location: geo.NewYork})
 		l, _ := b.Listen(80)

@@ -13,7 +13,7 @@ import (
 // testNetwork builds a two-host network with a fast clock for tests.
 func testNetwork(t *testing.T) (*Network, *Host, *Host) {
 	t.Helper()
-	n := New(WithTimeScale(0.0005), WithSeed(7))
+	n := New(WithSeed(7))
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
 	return n, a, b
@@ -115,7 +115,7 @@ func TestLatencyAccounting(t *testing.T) {
 func TestBandwidthContention(t *testing.T) {
 	// Two flows sharing one egress bucket should each see roughly half
 	// the capacity (the guard-load mechanism).
-	n := New(WithTimeScale(0.0005), WithSeed(3))
+	n := New(WithSeed(3))
 	src := n.MustAddHost(HostConfig{Name: "src", Location: geo.London, UplinkBps: 2 << 20})
 	dst := n.MustAddHost(HostConfig{Name: "dst", Location: geo.London})
 	l, _ := dst.Listen(80)

@@ -140,16 +140,11 @@ type Clock struct {
 	timers    timerHeap
 }
 
-// NewClock returns a fresh scheduler. The scale argument is accepted
-// for compatibility with the retired wall-clock implementation and is
-// ignored: the discrete-event clock always runs as fast as the CPU.
-func NewClock(scale float64) *Clock {
-	_ = scale
+// NewClock returns a fresh scheduler. The discrete-event clock always
+// runs as fast as the CPU.
+func NewClock() *Clock {
 	return &Clock{active: 1, registered: 1}
 }
-
-// Scale reports 0: virtual time no longer has a wall-clock ratio.
-func (c *Clock) Scale() float64 { return 0 }
 
 // Now returns the current virtual time as an offset from clock start.
 func (c *Clock) Now() time.Duration {

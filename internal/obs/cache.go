@@ -35,7 +35,7 @@ import (
 // the binary carries one; bump it when making changes that alter
 // results without a revision change being visible (e.g. `go test` in a
 // dirty tree).
-const CacheVersion = "ptperf-cache-v1"
+const CacheVersion = "ptperf-cache-v2"
 
 // codeVersion returns the cache's code-version component.
 func codeVersion() string {

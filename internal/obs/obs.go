@@ -11,11 +11,13 @@
 // virtual clock: the sampler is a simulation goroutine waking every
 // Interval of virtual time, so samples land at exact virtual instants,
 // interleave deterministically with the campaign, and are byte-identical
-// across runs and across -jobs values. Attaching a recorder does add a
-// timer to the world's event stream — same-instant tie-breaks can
-// shift — so the harness only attaches recorders when metrics are
-// requested and folds the sampling interval into every cache digest:
-// a cached cell is only reused for the identical instrumentation.
+// across runs and across -jobs values. Attaching a recorder does not
+// change the world's results: the sampler wakes only on its own timer,
+// reads counters and readies no other goroutine, so every other event
+// keeps its order (the harness pins this with a metrics-on ≡
+// metrics-off report test). The harness still folds the sampling
+// interval into every cache digest, because an entry computed without
+// a recorder stores no timeline for a sampled run to replay.
 //
 // Each sample stores interval deltas (via netem.AcctSnapshot.Sub), not
 // cumulative values: deltas sum exactly back to the final snapshot,

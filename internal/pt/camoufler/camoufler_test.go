@@ -59,7 +59,7 @@ func TestIMConnReordersBySeq(t *testing.T) {
 	writeMessage(&msgs, "me", 3, []byte("CC"))
 	script.in = msgs.Bytes()
 
-	ic := newIMConn(netem.NewClock(0), script, "me", "peer", 1024)
+	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)
 	got := make([]byte, 6)
 	total := 0
 	for total < 6 {
@@ -82,7 +82,7 @@ func TestIMConnLostMessageStalls(t *testing.T) {
 	writeMessage(&msgs, "me", 3, []byte("CC"))
 	script.in = msgs.Bytes()
 
-	ic := newIMConn(netem.NewClock(0), script, "me", "peer", 1024)
+	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)
 	buf := make([]byte, 8)
 	n, err := ic.Read(buf)
 	if err != nil || string(buf[:n]) != "AA" {

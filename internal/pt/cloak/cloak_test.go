@@ -14,7 +14,7 @@ import (
 // net.Pipe), so a server can flush its ServerHello without a reader.
 func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(9))
+	n := netem.New(netem.WithSeed(9))
 	a := n.MustAddHost(netem.HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.London})
 	ln, err := b.Listen(1)

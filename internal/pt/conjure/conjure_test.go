@@ -13,7 +13,7 @@ import (
 
 func testNet(t *testing.T) (*netem.Host, *netem.Host, *netem.Host, *netem.Host) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.002), netem.WithSeed(33))
+	n := netem.New(netem.WithSeed(33))
 	return n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto}),
 		n.MustAddHost(netem.HostConfig{Name: "registrar", Location: geo.Frankfurt}),
 		n.MustAddHost(netem.HostConfig{Name: "station", Location: geo.Frankfurt}),

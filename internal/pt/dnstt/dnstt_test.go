@@ -42,7 +42,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestServerSessionReassembly(t *testing.T) {
 	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(0), &ss.mu)
+	ss.cond = netem.NewCond(netem.NewClock(), &ss.mu)
 	ss.acceptUpstream(1, []byte("BB"))
 	ss.acceptUpstream(0, []byte("AA"))
 	ss.acceptUpstream(2, []byte("CC"))
@@ -59,7 +59,7 @@ func TestServerSessionReassembly(t *testing.T) {
 
 func TestTakeDownstreamRespectsCap(t *testing.T) {
 	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(0), &ss.mu)
+	ss.cond = netem.NewCond(netem.NewClock(), &ss.mu)
 	ss.downBuf = bytes.Repeat([]byte{1}, 1500)
 	chunk, rseq := ss.takeDownstream(512)
 	if len(chunk) != 512 || rseq != 0 {
@@ -80,7 +80,7 @@ func TestTakeDownstreamRespectsCap(t *testing.T) {
 
 func TestClientReorder(t *testing.T) {
 	tc := &tunnelConn{held: make(map[uint32][]byte)}
-	tc.cond = netem.NewCond(netem.NewClock(0), &tc.mu)
+	tc.cond = netem.NewCond(netem.NewClock(), &tc.mu)
 	tc.acceptDownstream(1, []byte("bb"))
 	tc.acceptDownstream(0, []byte("aa"))
 	if string(tc.downBuf) != "aabb" {

@@ -17,7 +17,7 @@ func TestBulkOverManyConns(t *testing.T) {
 	for _, conns := range []int{1, 2, 4, 8} {
 		conns := conns
 		t.Run(string(rune('0'+conns)), func(t *testing.T) {
-			n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(int64(conns)))
+			n := netem.New(netem.WithSeed(int64(conns)))
 			client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 			server := n.MustAddHost(netem.HostConfig{Name: "server", Location: geo.Frankfurt})
 			sink := n.MustAddHost(netem.HostConfig{Name: "sink", Location: geo.NewYork})

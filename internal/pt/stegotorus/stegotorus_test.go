@@ -53,7 +53,7 @@ func TestDecodeCoverRejectsGarbage(t *testing.T) {
 }
 
 func TestSessionReorders(t *testing.T) {
-	s := newSession(netem.NewClock(0))
+	s := newSession(netem.NewClock())
 	s.accept(2, []byte("cc"))
 	s.accept(0, []byte("aa"))
 	s.accept(1, []byte("bb"))
@@ -68,7 +68,7 @@ func TestSessionReorders(t *testing.T) {
 }
 
 func TestSessionDuplicateIgnored(t *testing.T) {
-	s := newSession(netem.NewClock(0))
+	s := newSession(netem.NewClock())
 	s.accept(0, []byte("x"))
 	s.accept(0, []byte("y")) // duplicate seq: ignored
 	buf := make([]byte, 4)
@@ -79,7 +79,7 @@ func TestSessionDuplicateIgnored(t *testing.T) {
 }
 
 func TestSessionCloseDrainsThenEOF(t *testing.T) {
-	s := newSession(netem.NewClock(0))
+	s := newSession(netem.NewClock())
 	s.accept(0, []byte("tail"))
 	s.close()
 	buf := make([]byte, 8)

@@ -343,7 +343,7 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 
 	// Exactly one simulation goroutine runs at a time, so a plain mutex
 	// never blocks here; it only orders the map writes (same pattern as
-	// the harness's forEachMethodN).
+	// the harness's forEachMethod).
 	out := make(map[string]*methodResult, len(spec.Transports))
 	var mu sync.Mutex
 	wg := netem.NewWaitGroup(clock)

@@ -87,7 +87,7 @@ func TestBuildTimeoutOnDeadGuard(t *testing.T) {
 // may outlive the teardown. The middle's uplink is throttled so its
 // scheduler still holds queued backward cells when the crash fires.
 func TestMidTransferRelayCrashTearsDown(t *testing.T) {
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(11))
+	n := netem.New(netem.WithSeed(11))
 	dir := NewDirectory()
 	mkRelay := func(name string, flags Flag, uplink float64) *Relay {
 		host := n.MustAddHost(netem.HostConfig{

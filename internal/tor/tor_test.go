@@ -25,7 +25,7 @@ type testWorld struct {
 
 func buildWorld(t *testing.T, nGuard, nMiddle, nExit int) *testWorld {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(11))
+	n := netem.New(netem.WithSeed(11))
 	dir := NewDirectory()
 	w := &testWorld{net: n, dir: dir}
 

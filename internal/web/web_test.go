@@ -134,7 +134,7 @@ func TestHTTPMalformed(t *testing.T) {
 
 func newOrigin(t *testing.T) (*netem.Network, *netem.Host, *Origin) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(2))
+	n := netem.New(netem.WithSeed(2))
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.NewYork})
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 	cat := GenerateCatalog(Tranco, 5, 1, 0.25)
