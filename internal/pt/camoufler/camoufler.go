@@ -296,30 +296,21 @@ func (s *IMServer) serveConn(c net.Conn) {
 }
 
 // imConn is one end of the IM tunnel: a net.Conn whose bytes travel as
-// messages between two accounts.
+// messages between two accounts. Inbound messages land in the embedded
+// stream; Write sends straight to the IM server.
 type imConn struct {
+	*pt.Stream
 	cap     int
 	self    string
 	peer    string
-	clock   *netem.Clock
 	conn    net.Conn // to the IM server
 	wmu     sync.Mutex
 	sendSeq uint64
-
-	mu      sync.Mutex
-	cond    *netem.Cond
-	recvBuf []byte
-	rnext   uint64
-	held    map[uint64][]byte
-	closed  bool
-	rdl     time.Time
 	onClose func()
 }
 
 func newIMConn(clock *netem.Clock, conn net.Conn, self, peer string, capBytes int) *imConn {
-	// Data messages carry seq ≥ 1 (seq 0 is the login frame).
-	ic := &imConn{cap: capBytes, self: self, peer: peer, clock: clock, conn: conn, held: make(map[uint64][]byte), rnext: 1}
-	ic.cond = netem.NewCond(clock, &ic.mu)
+	ic := &imConn{Stream: pt.NewStream(clock, self, peer, 0), cap: capBytes, self: self, peer: peer, conn: conn}
 	clock.Go(ic.recvLoop)
 	return ic
 }
@@ -335,10 +326,7 @@ func (ic *imConn) recvLoop() {
 	for {
 		from, seq, payload, err := readMessage(ic.conn)
 		if err != nil {
-			ic.mu.Lock()
-			ic.closed = true
-			ic.cond.Broadcast()
-			ic.mu.Unlock()
+			ic.Fail()
 			return
 		}
 		if seq == presenceGoneSeq {
@@ -346,51 +334,14 @@ func (ic *imConn) recvLoop() {
 				continue
 			}
 			// The peer account logged off: the tunnel is over.
-			ic.mu.Lock()
-			ic.closed = true
-			ic.cond.Broadcast()
-			ic.mu.Unlock()
+			ic.Fail()
 			return
 		}
-		ic.mu.Lock()
-		if seq == ic.rnext {
-			ic.recvBuf = append(ic.recvBuf, payload...)
-			ic.rnext++
-			for {
-				held, ok := ic.held[ic.rnext]
-				if !ok {
-					break
-				}
-				delete(ic.held, ic.rnext)
-				ic.recvBuf = append(ic.recvBuf, held...)
-				ic.rnext++
-			}
-			ic.cond.Broadcast()
-		} else if seq > ic.rnext {
-			// Out-of-order delivery; a lost message leaves a
-			// permanent gap and the stream stalls (no retransmit).
-			ic.held[seq] = append([]byte(nil), payload...)
-		}
-		ic.mu.Unlock()
+		// Data messages carry seq ≥ 1 (seq 0 is the login frame). A
+		// lost message leaves a permanent gap and the stream stalls
+		// (no retransmit).
+		ic.Deliver(seq-1, payload)
 	}
-}
-
-// Read implements net.Conn.
-func (ic *imConn) Read(p []byte) (int, error) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	for len(ic.recvBuf) == 0 {
-		if ic.closed {
-			return 0, io.EOF
-		}
-		if ic.clock.Expired(ic.rdl) {
-			return 0, errIMTimeout
-		}
-		ic.cond.WaitDeadline(ic.rdl)
-	}
-	n := copy(p, ic.recvBuf)
-	ic.recvBuf = ic.recvBuf[n:]
-	return n, nil
 }
 
 // Write implements net.Conn: chunk into messages.
@@ -413,54 +364,18 @@ func (ic *imConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Close implements net.Conn.
+// Close implements net.Conn. It releases the dialer's account pair only
+// when it is the call that ends the stream: a stream the peer already
+// ended keeps the pair busy.
 func (ic *imConn) Close() error {
-	ic.mu.Lock()
-	wasClosed := ic.closed
-	ic.closed = true
-	ic.cond.Broadcast()
-	onClose := ic.onClose
-	ic.onClose = nil
-	ic.mu.Unlock()
-	if !wasClosed && onClose != nil {
+	wasClosed := ic.Closed()
+	ic.Fail()
+	if onClose := ic.onClose; !wasClosed && onClose != nil {
+		ic.onClose = nil
 		onClose()
 	}
 	return ic.conn.Close()
 }
-
-// LocalAddr implements net.Conn.
-func (ic *imConn) LocalAddr() net.Addr { return imAddr(ic.self) }
-
-// RemoteAddr implements net.Conn.
-func (ic *imConn) RemoteAddr() net.Addr { return imAddr(ic.peer) }
-
-// SetDeadline implements net.Conn.
-func (ic *imConn) SetDeadline(t time.Time) error { return ic.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (ic *imConn) SetReadDeadline(t time.Time) error {
-	ic.mu.Lock()
-	ic.rdl = t
-	ic.cond.Broadcast()
-	ic.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (ic *imConn) SetWriteDeadline(time.Time) error { return nil }
-
-type imAddr string
-
-func (imAddr) Network() string  { return "im" }
-func (a imAddr) String() string { return string(a) }
-
-type imTimeout struct{}
-
-func (imTimeout) Error() string   { return "camoufler: i/o timeout" }
-func (imTimeout) Timeout() bool   { return true }
-func (imTimeout) Temporary() bool { return true }
-
-var errIMTimeout = imTimeout{}
 
 // Proxy is the uncensored-side camoufler endpoint: it logs into the
 // proxy account and serves each client session.

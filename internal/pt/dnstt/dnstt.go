@@ -17,7 +17,6 @@ package dnstt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -107,6 +106,14 @@ const (
 	// emptyQseq marks data-less polls, which must not consume upstream
 	// sequence numbers.
 	emptyQseq = 0xffffffff
+)
+
+// Queued tunnel bytes per direction: the server applies backpressure at
+// roughly one window of responses, the client at a smaller upstream
+// window.
+const (
+	serverQueue = 64 << 10
+	clientQueue = 32 << 10
 )
 
 func writeFrame(w io.Writer, head []byte, data []byte) error {
@@ -308,21 +315,16 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serverSession reassembles one client's tunnel.
+// serverSession reassembles one client's tunnel: the stream the handler
+// reads and writes, plus the response numbering and staleness clock.
 type serverSession struct {
-	srv *Server
+	*pt.Stream
 
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upNext  uint32
-	upHeld  map[uint32][]byte
-	upBuf   []byte
-	downBuf []byte
-	rseq    uint32
+	mu   sync.Mutex
+	rseq uint32
 	// lastSeen is the virtual time of the latest query; the reaper cuts
 	// sessions whose client stopped querying.
 	lastSeen time.Duration
-	closed   bool
 }
 
 func (s *Server) session(id string) *serverSession {
@@ -331,18 +333,19 @@ func (s *Server) session(id string) *serverSession {
 	if ss := s.sessions[id]; ss != nil {
 		return ss
 	}
-	ss := &serverSession{srv: s, upHeld: make(map[uint32][]byte), lastSeen: s.clock.Now()}
-	ss.cond = netem.NewCond(s.clock, &ss.mu)
+	ss := &serverSession{
+		Stream:   pt.NewStream(s.clock, "dnstt-server", "dnstt-client", serverQueue),
+		lastSeen: s.clock.Now(),
+	}
 	s.sessions[id] = ss
 	// The handler sees an ordinary stream; dnstt framing hides behind it.
 	s.clock.Go(func() {
-		conn := &sessionConn{ss: ss}
-		target, err := pt.ReadTarget(conn)
+		target, err := pt.ReadTarget(ss)
 		if err != nil {
-			conn.Close()
+			ss.Close()
 			return
 		}
-		s.handle(target, conn)
+		s.handle(target, ss.Stream)
 	})
 	s.clock.Go(func() { s.reapWhenStale(ss) })
 	return ss
@@ -355,18 +358,16 @@ func (s *Server) session(id string) *serverSession {
 func (s *Server) reapWhenStale(ss *serverSession) {
 	for {
 		s.clock.Sleep(s.cfg.Staleness)
+		if ss.Closed() {
+			return
+		}
 		ss.mu.Lock()
-		if ss.closed {
-			ss.mu.Unlock()
-			return
-		}
-		if s.clock.Now()-ss.lastSeen >= s.cfg.Staleness {
-			ss.closed = true
-			ss.cond.Broadcast()
-			ss.mu.Unlock()
-			return
-		}
+		stale := s.clock.Now()-ss.lastSeen >= s.cfg.Staleness
 		ss.mu.Unlock()
+		if stale {
+			ss.Fail()
+			return
+		}
 	}
 }
 
@@ -403,132 +404,26 @@ func (s *Server) serveResolverConn(c net.Conn) {
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
 func (ss *serverSession) acceptUpstream(qseq uint32, data []byte) {
-	if qseq == emptyQseq {
+	// A straggler query after the session was reaped or closed: nobody
+	// will ever read these bytes, so do not buffer them.
+	if qseq == emptyQseq || len(data) == 0 || ss.Closed() {
 		return
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		// A straggler query after the session was reaped or closed:
-		// nobody will ever read these buffers, so do not grow them.
-		return
-	}
-	if len(data) > 0 {
-		if qseq == ss.upNext {
-			ss.upBuf = append(ss.upBuf, data...)
-			ss.upNext++
-			for {
-				held, ok := ss.upHeld[ss.upNext]
-				if !ok {
-					break
-				}
-				delete(ss.upHeld, ss.upNext)
-				ss.upBuf = append(ss.upBuf, held...)
-				ss.upNext++
-			}
-			ss.cond.Broadcast()
-		} else if qseq > ss.upNext {
-			ss.upHeld[qseq] = append([]byte(nil), data...)
-		}
-	}
+	ss.Deliver(uint64(qseq), data)
 }
 
 // takeDownstream pops at most capBytes from the downstream queue.
 func (ss *serverSession) takeDownstream(capBytes int) ([]byte, uint32) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if len(ss.downBuf) == 0 {
+	chunk := ss.Take(capBytes)
+	if chunk == nil {
 		return nil, emptyRseq
 	}
-	n := len(ss.downBuf)
-	if n > capBytes {
-		n = capBytes
-	}
-	chunk := append([]byte(nil), ss.downBuf[:n]...)
-	ss.downBuf = ss.downBuf[n:]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	rseq := ss.rseq
 	ss.rseq++
-	ss.cond.Broadcast()
 	return chunk, rseq
 }
-
-// sessionConn is the handler-facing stream of one server session.
-type sessionConn struct{ ss *serverSession }
-
-// Read pulls reassembled upstream bytes.
-func (c *sessionConn) Read(p []byte) (int, error) {
-	ss := c.ss
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(ss.upBuf) == 0 && !ss.closed {
-		ss.cond.Wait()
-	}
-	if ss.closed {
-		return 0, io.EOF
-	}
-	n := copy(p, ss.upBuf)
-	ss.upBuf = ss.upBuf[n:]
-	return n, nil
-}
-
-// Write queues downstream bytes, bounded so the tunnel applies
-// backpressure at roughly one window of responses.
-func (c *sessionConn) Write(p []byte) (int, error) {
-	ss := c.ss
-	maxQueue := 64 << 10
-	written := 0
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(p) > 0 {
-		if ss.closed {
-			return written, errors.New("dnstt: session closed")
-		}
-		for len(ss.downBuf) >= maxQueue && !ss.closed {
-			ss.cond.Wait()
-		}
-		if ss.closed {
-			return written, errors.New("dnstt: session closed")
-		}
-		room := maxQueue - len(ss.downBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		ss.downBuf = append(ss.downBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close marks the session dead.
-func (c *sessionConn) Close() error {
-	c.ss.mu.Lock()
-	c.ss.closed = true
-	c.ss.cond.Broadcast()
-	c.ss.mu.Unlock()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (c *sessionConn) LocalAddr() net.Addr { return dnsAddr("dnstt-server") }
-
-// RemoteAddr implements net.Conn.
-func (c *sessionConn) RemoteAddr() net.Addr { return dnsAddr("dnstt-client") }
-
-// SetDeadline implements net.Conn (unsupported; polls pace the tunnel).
-func (c *sessionConn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline implements net.Conn.
-func (c *sessionConn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline implements net.Conn.
-func (c *sessionConn) SetWriteDeadline(time.Time) error { return nil }
-
-type dnsAddr string
-
-func (dnsAddr) Network() string  { return "dns" }
-func (a dnsAddr) String() string { return string(a) }
 
 // Dialer is the dnstt client.
 type Dialer struct {
@@ -565,14 +460,14 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 		}
 		conns = append(conns, c)
 	}
+	clock := d.host.Network().Clock()
 	t := &tunnelConn{
-		cfg:   d.cfg,
-		clock: d.host.Network().Clock(),
-		sid:   sid,
-		conns: conns,
-		held:  make(map[uint32][]byte),
+		Stream: pt.NewStream(clock, "dnstt-client", "dnstt-tunnel", clientQueue),
+		cfg:    d.cfg,
+		clock:  clock,
+		sid:    sid,
+		conns:  conns,
 	}
-	t.cond = netem.NewCond(t.clock, &t.mu)
 	for _, c := range conns {
 		conn := c
 		t.clock.Go(func() { t.pollLoop(conn) })
@@ -586,20 +481,14 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 
 // tunnelConn is the client-side stream over the poll pipelines.
 type tunnelConn struct {
+	*pt.Stream
 	cfg   Config
 	clock *netem.Clock
 	sid   []byte
 	conns []net.Conn
 
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	qseq    uint32
-	downBuf []byte
-	rnext   uint32
-	held    map[uint32][]byte
-	closed  bool
-	rdl     time.Time
+	mu   sync.Mutex
+	qseq uint32
 }
 
 // pollLoop drives one pipeline: send a query (data or empty poll), read
@@ -608,30 +497,30 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 	defer c.Close()
 	idlePoll := 50 * time.Millisecond
 	for {
-		data, qseq, hasData := t.takeUpstream()
-		if t.isClosed() {
+		if t.Closed() {
 			return
 		}
+		data, qseq, hasData := t.takeUpstream()
 		head := make([]byte, sessionLen+4)
 		copy(head, t.sid)
 		binary.BigEndian.PutUint32(head[sessionLen:], qseq)
 		if err := writeFrame(c, head, data); err != nil {
-			t.fail()
+			t.Fail()
 			return
 		}
 		resp, err := readFrame(c)
 		if err != nil {
-			t.fail()
+			t.Fail()
 			return
 		}
 		if len(resp) < 4 {
-			t.fail()
+			t.Fail()
 			return
 		}
 		rseq := binary.BigEndian.Uint32(resp[:4])
 		gotData := rseq != emptyRseq && len(resp) > 4
 		if gotData {
-			t.acceptDownstream(rseq, resp[4:])
+			t.Deliver(uint64(rseq), resp[4:])
 		}
 		if !hasData && !gotData {
 			// Idle: back off, like dnstt's poll pacing.
@@ -645,141 +534,16 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 	}
 }
 
-// takeUpstream pops up to QueryCap pending upstream bytes.
+// takeUpstream pops up to QueryCap pending upstream bytes and numbers
+// them; an empty queue answers the data-less poll sentinel.
 func (t *tunnelConn) takeUpstream() ([]byte, uint32, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, 0, false
-	}
-	if len(t.upBuf) == 0 {
+	data := t.Take(t.cfg.QueryCap)
+	if data == nil {
 		return nil, emptyQseq, false
 	}
-	n := len(t.upBuf)
-	if n > t.cfg.QueryCap {
-		n = t.cfg.QueryCap
-	}
-	data := append([]byte(nil), t.upBuf[:n]...)
-	t.upBuf = t.upBuf[n:]
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	q := t.qseq
 	t.qseq++
-	t.cond.Broadcast()
 	return data, q, true
 }
-
-// acceptDownstream reorders response payloads into the read buffer.
-func (t *tunnelConn) acceptDownstream(rseq uint32, data []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rseq == t.rnext {
-		t.downBuf = append(t.downBuf, data...)
-		t.rnext++
-		for {
-			held, ok := t.held[t.rnext]
-			if !ok {
-				break
-			}
-			delete(t.held, t.rnext)
-			t.downBuf = append(t.downBuf, held...)
-			t.rnext++
-		}
-		t.cond.Broadcast()
-	} else if rseq > t.rnext {
-		t.held[rseq] = append([]byte(nil), data...)
-	}
-}
-
-func (t *tunnelConn) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-func (t *tunnelConn) fail() {
-	t.mu.Lock()
-	t.closed = true
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (t *tunnelConn) Read(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.downBuf) == 0 {
-		if t.closed {
-			return 0, io.EOF
-		}
-		if t.clock.Expired(t.rdl) {
-			return 0, errTunnelTimeout
-		}
-		t.cond.WaitDeadline(t.rdl)
-	}
-	n := copy(p, t.downBuf)
-	t.downBuf = t.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn: bytes queue for the poll loops, with a
-// bounded buffer supplying backpressure.
-func (t *tunnelConn) Write(p []byte) (int, error) {
-	const maxQueue = 32 << 10
-	written := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(p) > 0 {
-		if t.closed {
-			return written, errors.New("dnstt: tunnel closed")
-		}
-		for len(t.upBuf) >= maxQueue && !t.closed {
-			t.cond.Wait()
-		}
-		if t.closed {
-			return written, errors.New("dnstt: tunnel closed")
-		}
-		room := maxQueue - len(t.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		t.upBuf = append(t.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close implements net.Conn.
-func (t *tunnelConn) Close() error {
-	t.fail()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (t *tunnelConn) LocalAddr() net.Addr { return dnsAddr("dnstt-client") }
-
-// RemoteAddr implements net.Conn.
-func (t *tunnelConn) RemoteAddr() net.Addr { return dnsAddr("dnstt-tunnel") }
-
-// SetDeadline implements net.Conn.
-func (t *tunnelConn) SetDeadline(dl time.Time) error { return t.SetReadDeadline(dl) }
-
-// SetReadDeadline implements net.Conn.
-func (t *tunnelConn) SetReadDeadline(dl time.Time) error {
-	t.mu.Lock()
-	t.rdl = dl
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (t *tunnelConn) SetWriteDeadline(time.Time) error { return nil }
-
-type tunnelTimeout struct{}
-
-func (tunnelTimeout) Error() string   { return "dnstt: i/o timeout" }
-func (tunnelTimeout) Timeout() bool   { return true }
-func (tunnelTimeout) Temporary() bool { return true }
-
-var errTunnelTimeout = tunnelTimeout{}

@@ -2,10 +2,12 @@ package dnstt
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -40,27 +42,39 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// newTestSession returns a server session outside any running server.
+func newTestSession() *serverSession {
+	return &serverSession{Stream: pt.NewStream(netem.NewClock(), "server", "client", serverQueue)}
+}
+
 func TestServerSessionReassembly(t *testing.T) {
-	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(), &ss.mu)
+	ss := newTestSession()
 	ss.acceptUpstream(1, []byte("BB"))
 	ss.acceptUpstream(0, []byte("AA"))
 	ss.acceptUpstream(2, []byte("CC"))
-	if string(ss.upBuf) != "AABBCC" {
-		t.Fatalf("reassembly: %q", ss.upBuf)
+	buf := make([]byte, 16)
+	if n, _ := ss.Read(buf); string(buf[:n]) != "AABBCC" {
+		t.Fatalf("reassembly: %q", buf[:n])
 	}
 	// Empty-poll sentinel must not block the sequence.
 	ss.acceptUpstream(emptyQseq, nil)
 	ss.acceptUpstream(3, []byte("DD"))
-	if string(ss.upBuf) != "AABBCCDD" {
-		t.Fatalf("after empty poll: %q", ss.upBuf)
+	if n, _ := ss.Read(buf); string(buf[:n]) != "DD" {
+		t.Fatalf("after empty poll: %q", buf[:n])
+	}
+	// Straggler queries after the session closed are not buffered.
+	ss.Close()
+	ss.acceptUpstream(4, []byte("EE"))
+	if n, err := ss.Read(buf); n != 0 || err != io.EOF {
+		t.Fatalf("after close: %q %v", buf[:n], err)
 	}
 }
 
 func TestTakeDownstreamRespectsCap(t *testing.T) {
-	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(), &ss.mu)
-	ss.downBuf = bytes.Repeat([]byte{1}, 1500)
+	ss := newTestSession()
+	if _, err := ss.Write(bytes.Repeat([]byte{1}, 1500)); err != nil {
+		t.Fatal(err)
+	}
 	chunk, rseq := ss.takeDownstream(512)
 	if len(chunk) != 512 || rseq != 0 {
 		t.Fatalf("chunk=%d rseq=%d", len(chunk), rseq)
@@ -79,15 +93,16 @@ func TestTakeDownstreamRespectsCap(t *testing.T) {
 }
 
 func TestClientReorder(t *testing.T) {
-	tc := &tunnelConn{held: make(map[uint32][]byte)}
-	tc.cond = netem.NewCond(netem.NewClock(), &tc.mu)
-	tc.acceptDownstream(1, []byte("bb"))
-	tc.acceptDownstream(0, []byte("aa"))
-	if string(tc.downBuf) != "aabb" {
-		t.Fatalf("reorder: %q", tc.downBuf)
+	tc := &tunnelConn{Stream: pt.NewStream(netem.NewClock(), "client", "tunnel", clientQueue)}
+	tc.Deliver(1, []byte("bb"))
+	tc.Deliver(0, []byte("aa"))
+	buf := make([]byte, 16)
+	if n, _ := tc.Read(buf); string(buf[:n]) != "aabb" {
+		t.Fatalf("reorder: %q", buf[:n])
 	}
-	tc.acceptDownstream(0, []byte("zz")) // stale duplicate ignored
-	if string(tc.downBuf) != "aabb" {
-		t.Fatalf("duplicate accepted: %q", tc.downBuf)
+	tc.Deliver(0, []byte("zz")) // stale duplicate ignored
+	tc.Deliver(2, []byte("cc"))
+	if n, _ := tc.Read(buf); string(buf[:n]) != "cc" {
+		t.Fatalf("duplicate accepted: %q", buf[:n])
 	}
 }

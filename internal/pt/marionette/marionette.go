@@ -236,33 +236,37 @@ func readFrame(r io.Reader) (cover string, payload []byte, fin bool, err error) 
 	return string(coverBuf), payload, false, nil
 }
 
-// marionetteConn walks the automaton to move bytes.
-type marionetteConn struct {
-	model *Model
-	conn  net.Conn
-	clock *netem.Clock
-	rng   *rand.Rand
+// maxQueue bounds the bytes waiting for data transitions.
+const maxQueue = 64 << 10
 
-	mu         sync.Mutex
-	cond       *netem.Cond
-	upBuf      []byte // bytes waiting for a data transition
-	downBuf    []byte // bytes recovered from peer messages
-	replyCh    *netem.Chan[struct{}]
-	closed     bool
-	wdone      bool // local half-close requested
-	remoteDone bool // peer sent FIN
-	rdl        time.Time
+// marionetteConn walks the automaton to move bytes: Write queues them in
+// the embedded stream for data transitions, and payloads recovered from
+// the peer's messages feed its reads.
+type marionetteConn struct {
+	*pt.Stream
+	model   *Model
+	conn    net.Conn
+	clock   *netem.Clock
+	rng     *rand.Rand
+	replyCh *netem.Chan[struct{}]
+
+	mu sync.Mutex
+	// wdone requests the FIN cover once the queue drains; finSent
+	// records that the walk emitted it.
+	wdone, finSent bool
+	// closing defers Close until the walk has sent the queued bytes.
+	closing bool
 }
 
 func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *marionetteConn {
 	mc := &marionetteConn{
+		Stream:  pt.NewStream(clock, "marionette", "marionette-peer", maxQueue),
 		model:   model,
 		conn:    conn,
 		clock:   clock,
 		rng:     rand.New(rand.NewSource(seed)),
 		replyCh: netem.NewChan[struct{}](clock, 16),
 	}
-	mc.cond = netem.NewCond(clock, &mc.mu)
 	clock.Go(mc.recvLoop)
 	clock.Go(mc.walk)
 	return mc
@@ -273,32 +277,33 @@ func (mc *marionetteConn) recvLoop() {
 	for {
 		_, payload, fin, err := readFrame(mc.conn)
 		if err != nil {
-			mc.fail()
+			mc.Fail()
 			return
 		}
 		mc.replyCh.TrySend(struct{}{})
 		if fin {
-			mc.mu.Lock()
-			mc.remoteDone = true
-			mc.cond.Broadcast()
-			mc.mu.Unlock()
+			mc.Fin(0)
 			continue
 		}
-		if len(payload) > 0 {
-			mc.mu.Lock()
-			mc.downBuf = append(mc.downBuf, payload...)
-			mc.cond.Broadcast()
-			mc.mu.Unlock()
-		}
+		mc.Append(payload)
 	}
 }
 
 // walk drives the automaton: pacing delays, cover emission, payload
 // embedding and lockstep setup.
 func (mc *marionetteConn) walk() {
+	defer func() {
+		mc.mu.Lock()
+		closing := mc.closing
+		mc.mu.Unlock()
+		if closing {
+			mc.Fail()
+			mc.conn.Close()
+		}
+	}()
 	state := mc.model.Start
 	for {
-		if mc.isClosed() {
+		if mc.Closed() {
 			return
 		}
 		ts := mc.model.States[state]
@@ -312,21 +317,14 @@ func (mc *marionetteConn) walk() {
 		var payload []byte
 		sendFin := false
 		if t.Act.Capacity > 0 {
+			payload = mc.Take(t.Act.Capacity)
 			mc.mu.Lock()
-			n := len(mc.upBuf)
-			if n > t.Act.Capacity {
-				n = t.Act.Capacity
-			}
-			if n > 0 {
-				payload = append(payload, mc.upBuf[:n]...)
-				mc.upBuf = mc.upBuf[n:]
-				mc.cond.Broadcast()
-			}
-			sendFin = mc.wdone && len(mc.upBuf) == 0
+			sendFin = mc.wdone && mc.Queued() == 0
+			mc.finSent = sendFin
 			mc.mu.Unlock()
 		}
 		if err := writeFrame(mc.conn, t.Act.Cover, payload); err != nil {
-			mc.fail()
+			mc.Fail()
 			return
 		}
 		if sendFin {
@@ -337,7 +335,7 @@ func (mc *marionetteConn) walk() {
 		}
 		if t.AwaitReply {
 			if _, ok, timedOut := mc.replyCh.RecvTimeout(30 * time.Second); timedOut || !ok {
-				mc.fail()
+				mc.Fail()
 				return
 			}
 		}
@@ -345,114 +343,30 @@ func (mc *marionetteConn) walk() {
 	}
 }
 
-func (mc *marionetteConn) isClosed() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.closed
-}
-
-func (mc *marionetteConn) fail() {
-	mc.mu.Lock()
-	mc.closed = true
-	mc.cond.Broadcast()
-	mc.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (mc *marionetteConn) Read(p []byte) (int, error) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	for len(mc.downBuf) == 0 {
-		if mc.closed || mc.remoteDone {
-			return 0, io.EOF
-		}
-		if mc.clock.Expired(mc.rdl) {
-			return 0, errMarTimeout
-		}
-		mc.cond.WaitDeadline(mc.rdl)
-	}
-	n := copy(p, mc.downBuf)
-	mc.downBuf = mc.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn: bytes wait for data transitions.
-func (mc *marionetteConn) Write(p []byte) (int, error) {
-	const maxQueue = 64 << 10
-	written := 0
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	for len(p) > 0 {
-		if mc.closed {
-			return written, errors.New("marionette: closed")
-		}
-		for len(mc.upBuf) >= maxQueue && !mc.closed {
-			mc.cond.Wait()
-		}
-		if mc.closed {
-			return written, errors.New("marionette: closed")
-		}
-		room := maxQueue - len(mc.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		mc.upBuf = append(mc.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
 // CloseWrite half-closes the sending direction: queued bytes still walk
 // out of the automaton before the FIN cover is emitted.
 func (mc *marionetteConn) CloseWrite() error {
 	mc.mu.Lock()
 	mc.wdone = true
-	mc.cond.Broadcast()
 	mc.mu.Unlock()
 	return nil
 }
 
-// Close implements net.Conn.
+// Close implements net.Conn. With bytes still queued it is graceful:
+// the walk sends them and the FIN cover, then tears the conn down.
 func (mc *marionetteConn) Close() error {
-	mc.fail()
+	mc.mu.Lock()
+	graceful := !mc.finSent && mc.Queued() > 0 && !mc.Closed()
+	if graceful {
+		mc.wdone, mc.closing = true, true
+	}
+	mc.mu.Unlock()
+	if graceful {
+		return nil
+	}
+	mc.Fail()
 	return mc.conn.Close()
 }
-
-// LocalAddr implements net.Conn.
-func (mc *marionetteConn) LocalAddr() net.Addr { return marAddr("marionette") }
-
-// RemoteAddr implements net.Conn.
-func (mc *marionetteConn) RemoteAddr() net.Addr { return marAddr("marionette-peer") }
-
-// SetDeadline implements net.Conn.
-func (mc *marionetteConn) SetDeadline(t time.Time) error { return mc.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (mc *marionetteConn) SetReadDeadline(t time.Time) error {
-	mc.mu.Lock()
-	mc.rdl = t
-	mc.cond.Broadcast()
-	mc.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (mc *marionetteConn) SetWriteDeadline(time.Time) error { return nil }
-
-type marAddr string
-
-func (marAddr) Network() string  { return "marionette" }
-func (a marAddr) String() string { return string(a) }
-
-type marTimeout struct{}
-
-func (marTimeout) Error() string   { return "marionette: i/o timeout" }
-func (marTimeout) Timeout() bool   { return true }
-func (marTimeout) Temporary() bool { return true }
-
-var errMarTimeout = marTimeout{}
 
 // StartServer runs a marionette server on host:port using the model.
 func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt.StreamHandler) (pt.Server, error) {

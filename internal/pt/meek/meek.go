@@ -100,6 +100,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxQueue bounds each direction's queued tunnel bytes on both ends.
+const maxQueue = 256 << 10
+
 // Poll frame between client and front, and front and bridge:
 //
 //	request:  [8B session][4B len][body]
@@ -240,18 +243,20 @@ type Bridge struct {
 	rateFree time.Duration
 }
 
+// bridgeSession is one client's tunnel at the bridge: the stream the
+// handler reads and writes, plus the bridge's policy state.
 type bridgeSession struct {
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	downBuf []byte
-	budget  int64
-	served  int64
+	*pt.Stream
+
+	mu     sync.Mutex
+	budget int64
+	served int64
 	// lastSeen is the virtual time of the session's latest poll; the
 	// reaper cuts sessions whose client stopped polling.
 	lastSeen time.Duration
-	closed   bool
-	gone     bool
+	// gone marks a session cut by its budget or the reaper; a session
+	// the handler closed is gone once its queue has drained.
+	gone bool
 }
 
 // StartBridge runs the meek bridge on host:port.
@@ -297,17 +302,19 @@ func (b *Bridge) session(sid uint64) *bridgeSession {
 		return s
 	}
 	clock := b.host.Network().Clock()
-	s := &bridgeSession{budget: b.drawBudget(), lastSeen: clock.Now()}
-	s.cond = netem.NewCond(clock, &s.mu)
+	s := &bridgeSession{
+		Stream:   pt.NewStream(clock, "meek-bridge", "meek-client", maxQueue),
+		budget:   b.drawBudget(),
+		lastSeen: clock.Now(),
+	}
 	b.sessions[sid] = s
 	b.host.Network().Go(func() {
-		conn := &bridgeConn{s: s}
-		target, err := pt.ReadTarget(conn)
+		target, err := pt.ReadTarget(s)
 		if err != nil {
-			conn.Close()
+			s.Close()
 			return
 		}
-		b.handle(target, conn)
+		b.handle(target, s.Stream)
 	})
 	b.host.Network().Go(func() { b.reapWhenStale(s) })
 	return s
@@ -323,19 +330,17 @@ func (b *Bridge) reapWhenStale(s *bridgeSession) {
 	clock := b.host.Network().Clock()
 	for {
 		clock.Sleep(b.cfg.Staleness)
+		if s.Closed() {
+			return
+		}
 		s.mu.Lock()
-		if s.closed || s.gone {
-			s.mu.Unlock()
-			return
-		}
-		if clock.Now()-s.lastSeen >= b.cfg.Staleness {
-			s.closed = true
-			s.gone = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
+		stale := clock.Now()-s.lastSeen >= b.cfg.Staleness
+		s.gone = s.gone || stale
 		s.mu.Unlock()
+		if stale {
+			s.Fail()
+			return
+		}
 	}
 }
 
@@ -375,16 +380,11 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 		}
 		s := b.session(sid)
 
+		drained := s.Closed() && s.Queued() == 0
 		s.mu.Lock()
 		s.lastSeen = clock.Now()
+		s.gone = s.gone || drained
 		gone := s.gone
-		if !gone {
-			if len(body) > 0 {
-				s.upBuf = append(s.upBuf, body...)
-				s.cond.Broadcast()
-			}
-			s.served += int64(len(body))
-		}
 		s.mu.Unlock()
 		if gone {
 			if err := writeReply(c, statusGone, nil); err != nil {
@@ -392,23 +392,18 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 			}
 			continue
 		}
+		s.Append(body)
 
 		// Assemble the downstream chunk.
+		chunk := s.Take(b.cfg.Chunk)
 		s.mu.Lock()
-		n := len(s.downBuf)
-		if n > b.cfg.Chunk {
-			n = b.cfg.Chunk
-		}
-		chunk := append([]byte(nil), s.downBuf[:n]...)
-		s.downBuf = s.downBuf[n:]
-		s.served += int64(n)
+		s.served += int64(len(body) + len(chunk))
 		overBudget := s.served > s.budget
-		if overBudget {
-			s.gone = true
-			s.closed = true
-		}
-		s.cond.Broadcast()
+		s.gone = s.gone || overBudget
 		s.mu.Unlock()
+		if overBudget {
+			s.Fail()
+		}
 
 		// Maintainer's rate limit applies to tunnelled bytes.
 		if wait := b.reserveRate(clock.Now(), len(chunk)); wait > 0 {
@@ -421,80 +416,6 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 		}
 	}
 }
-
-// bridgeConn is the handler-facing stream of one bridge session.
-type bridgeConn struct{ s *bridgeSession }
-
-// Read pulls upstream bytes.
-func (c *bridgeConn) Read(p []byte) (int, error) {
-	s := c.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.upBuf) == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if len(s.upBuf) == 0 && s.closed {
-		return 0, io.EOF
-	}
-	n := copy(p, s.upBuf)
-	s.upBuf = s.upBuf[n:]
-	return n, nil
-}
-
-// Write queues downstream bytes with bounded buffering.
-func (c *bridgeConn) Write(p []byte) (int, error) {
-	s := c.s
-	const maxQueue = 256 << 10
-	written := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(p) > 0 {
-		for len(s.downBuf) >= maxQueue && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return written, errors.New("meek: session closed by bridge")
-		}
-		room := maxQueue - len(s.downBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		s.downBuf = append(s.downBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close marks the session finished.
-func (c *bridgeConn) Close() error {
-	c.s.mu.Lock()
-	c.s.closed = true
-	c.s.cond.Broadcast()
-	c.s.mu.Unlock()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (c *bridgeConn) LocalAddr() net.Addr { return meekAddr("meek-bridge") }
-
-// RemoteAddr implements net.Conn.
-func (c *bridgeConn) RemoteAddr() net.Addr { return meekAddr("meek-client") }
-
-// SetDeadline implements net.Conn as a no-op (polling paces the tunnel).
-func (c *bridgeConn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline implements net.Conn.
-func (c *bridgeConn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline implements net.Conn.
-func (c *bridgeConn) SetWriteDeadline(time.Time) error { return nil }
-
-type meekAddr string
-
-func (meekAddr) Network() string  { return "meek" }
-func (a meekAddr) String() string { return string(a) }
 
 // Dialer is the meek client.
 type Dialer struct {
@@ -522,13 +443,14 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meek: front unreachable: %w", err)
 	}
+	clock := d.host.Network().Clock()
 	t := &pollConn{
-		cfg:   d.cfg,
-		clock: d.host.Network().Clock(),
-		sid:   sid,
-		conn:  conn,
+		Stream: pt.NewStream(clock, "meek-client", "meek-tunnel", maxQueue),
+		cfg:    d.cfg,
+		clock:  clock,
+		sid:    sid,
+		conn:   conn,
 	}
-	t.cond = netem.NewCond(t.clock, &t.mu)
 	d.host.Network().Go(t.pollLoop)
 	if err := pt.WriteTarget(t, target); err != nil {
 		t.Close()
@@ -539,18 +461,11 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 
 // pollConn is the client-side tunnel endpoint.
 type pollConn struct {
+	*pt.Stream
 	cfg   Config
 	clock *netem.Clock
 	sid   uint64
 	conn  net.Conn
-
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	downBuf []byte
-	closed  bool
-	gone    bool
-	rdl     time.Time
 }
 
 // pollLoop runs the HTTP polling cycle.
@@ -558,39 +473,20 @@ func (t *pollConn) pollLoop() {
 	defer t.conn.Close()
 	interval := t.cfg.MinPoll
 	for {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
+		if t.Closed() {
 			return
 		}
-		n := len(t.upBuf)
-		if n > t.cfg.Chunk {
-			n = t.cfg.Chunk
-		}
-		body := append([]byte(nil), t.upBuf[:n]...)
-		t.upBuf = t.upBuf[n:]
-		t.cond.Broadcast()
-		t.mu.Unlock()
-
+		body := t.Take(t.cfg.Chunk)
 		if err := writePoll(t.conn, t.sid, body); err != nil {
-			t.fail(false)
+			t.Fail()
 			return
 		}
 		status, reply, err := readReply(t.conn)
-		if err != nil {
-			t.fail(false)
+		if err != nil || status == statusGone {
+			t.Fail()
 			return
 		}
-		if status == statusGone {
-			t.fail(true)
-			return
-		}
-		if len(reply) > 0 {
-			t.mu.Lock()
-			t.downBuf = append(t.downBuf, reply...)
-			t.cond.Broadcast()
-			t.mu.Unlock()
-		}
+		t.Append(reply)
 		if len(body) == 0 && len(reply) == 0 {
 			t.clock.Sleep(interval)
 			interval = interval * 3 / 2
@@ -602,92 +498,3 @@ func (t *pollConn) pollLoop() {
 		}
 	}
 }
-
-func (t *pollConn) fail(gone bool) {
-	t.mu.Lock()
-	t.closed = true
-	t.gone = gone
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (t *pollConn) Read(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.downBuf) == 0 {
-		if t.closed {
-			return 0, io.EOF
-		}
-		if t.clock.Expired(t.rdl) {
-			return 0, errMeekTimeout
-		}
-		t.cond.WaitDeadline(t.rdl)
-	}
-	n := copy(p, t.downBuf)
-	t.downBuf = t.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn with a bounded upstream queue.
-func (t *pollConn) Write(p []byte) (int, error) {
-	const maxQueue = 256 << 10
-	written := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(p) > 0 {
-		if t.closed {
-			return written, errors.New("meek: tunnel closed")
-		}
-		for len(t.upBuf) >= maxQueue && !t.closed {
-			t.cond.Wait()
-		}
-		if t.closed {
-			return written, errors.New("meek: tunnel closed")
-		}
-		room := maxQueue - len(t.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		t.upBuf = append(t.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close implements net.Conn.
-func (t *pollConn) Close() error {
-	t.fail(false)
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (t *pollConn) LocalAddr() net.Addr { return meekAddr("meek-client") }
-
-// RemoteAddr implements net.Conn.
-func (t *pollConn) RemoteAddr() net.Addr { return meekAddr("meek-tunnel") }
-
-// SetDeadline implements net.Conn.
-func (t *pollConn) SetDeadline(dl time.Time) error { return t.SetReadDeadline(dl) }
-
-// SetReadDeadline implements net.Conn.
-func (t *pollConn) SetReadDeadline(dl time.Time) error {
-	t.mu.Lock()
-	t.rdl = dl
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (t *pollConn) SetWriteDeadline(time.Time) error { return nil }
-
-type meekTimeout struct{}
-
-func (meekTimeout) Error() string   { return "meek: i/o timeout" }
-func (meekTimeout) Timeout() bool   { return true }
-func (meekTimeout) Temporary() bool { return true }
-
-var errMeekTimeout = meekTimeout{}

@@ -1,8 +1,10 @@
 // Package pt defines the pluggable-transport framework of the PTPerf
 // reproduction: transport metadata (category, integration set,
 // capabilities), the Dialer/Server contract every transport implements,
-// and shared wire helpers (record framing, stream ciphers, target
-// prologues, splicing).
+// record framing with stream ciphers, target prologues, splicing, and
+// Stream — the message-stream net.Conn that meek, dnstt, camoufler,
+// stegotorus and marionette build on (inbound reassembly, end of
+// stream, read deadlines and a bounded outbound queue).
 //
 // The twelve transports of the paper live in subpackages; each implements
 // the same obfuscation idea and — crucially for performance fidelity —

@@ -23,7 +23,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -135,96 +134,15 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
-// session reassembles one direction of a chopped stream.
-type session struct {
-	clock *netem.Clock
-	mu    sync.Mutex
-	cond  *netem.Cond
-	next  uint64
-	held  map[uint64][]byte
-	buf   []byte
-	// closed is the hard teardown (error or local close).
-	closed bool
-	// finSeq+1 is stored in fin when the peer's FIN announced the total
-	// block count; 0 means no FIN yet.
-	fin uint64
-	rdl time.Time
-}
-
-func newSession(clock *netem.Clock) *session {
-	s := &session{clock: clock, held: make(map[uint64][]byte)}
-	s.cond = netem.NewCond(clock, &s.mu)
-	return s
-}
-
-// accept delivers one block.
-func (s *session) accept(seq uint64, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq == s.next {
-		s.buf = append(s.buf, data...)
-		s.next++
-		for {
-			held, ok := s.held[s.next]
-			if !ok {
-				break
-			}
-			delete(s.held, s.next)
-			s.buf = append(s.buf, held...)
-			s.next++
-		}
-		s.cond.Broadcast()
-	} else if seq > s.next {
-		s.held[seq] = append([]byte(nil), data...)
-	}
-}
-
-func (s *session) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// setFin records the peer's announced total block count.
-func (s *session) setFin(total uint64) {
-	s.mu.Lock()
-	s.fin = total + 1
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// finished reports whether every announced block has been delivered.
-func (s *session) finishedLocked() bool {
-	return s.fin > 0 && s.next >= s.fin-1
-}
-
-// read pulls reassembled bytes.
-func (s *session) read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.buf) == 0 {
-		if s.closed || s.finishedLocked() {
-			return 0, io.EOF
-		}
-		if s.clock.Expired(s.rdl) {
-			return 0, errStegTimeout
-		}
-		s.cond.WaitDeadline(s.rdl)
-	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
-}
-
 // chopConn is one endpoint of the chopped stream: it writes blocks
-// round-robin over the fan-out conns and reads from the session.
+// round-robin over the fan-out conns, and the embedded stream
+// reassembles the blocks its read loops deliver by sequence number.
 type chopConn struct {
+	*pt.Stream
 	cfg   Config
 	sid   uint64
 	conns []net.Conn
 	wbufs []*bufio.Writer
-	recv  *session
 
 	wmu     sync.Mutex
 	sendSeq uint64
@@ -239,10 +157,10 @@ type chopConn struct {
 
 func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, seed int64) *chopConn {
 	c := &chopConn{
+		Stream:  pt.NewStream(clock, "stegotorus", "stegotorus-peer", 0),
 		cfg:     cfg,
 		sid:     sid,
 		conns:   conns,
-		recv:    newSession(clock),
 		rng:     rand.New(rand.NewSource(seed)),
 		readers: len(conns),
 	}
@@ -265,7 +183,7 @@ func (c *chopConn) readLoop(conn net.Conn) {
 		last := c.readers == 0
 		c.readersMu.Unlock()
 		if last {
-			c.recv.close()
+			c.Fail()
 		}
 	}()
 	br := bufio.NewReaderSize(conn, 8<<10)
@@ -280,13 +198,13 @@ func (c *chopConn) readLoop(conn net.Conn) {
 		seq := binary.BigEndian.Uint64(block[8:16])
 		n := binary.BigEndian.Uint32(block[16:20])
 		if n == finLen {
-			c.recv.setFin(seq)
+			c.Fin(seq)
 			continue
 		}
 		if int(n)+blockHeader > len(block) {
 			return
 		}
-		c.recv.accept(seq, block[blockHeader:blockHeader+int(n)])
+		c.Deliver(seq, block[blockHeader:blockHeader+int(n)])
 	}
 }
 
@@ -351,54 +269,17 @@ func (c *chopConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Read implements net.Conn.
-func (c *chopConn) Read(p []byte) (int, error) { return c.recv.read(p) }
-
 // Close implements net.Conn.
 func (c *chopConn) Close() error {
 	c.wmu.Lock()
 	c.closed = true
 	c.wmu.Unlock()
-	c.recv.close()
+	c.Fail()
 	for _, conn := range c.conns {
 		conn.Close()
 	}
 	return nil
 }
-
-// LocalAddr implements net.Conn.
-func (c *chopConn) LocalAddr() net.Addr { return stegAddr("stegotorus") }
-
-// RemoteAddr implements net.Conn.
-func (c *chopConn) RemoteAddr() net.Addr { return stegAddr("stegotorus-peer") }
-
-// SetDeadline implements net.Conn.
-func (c *chopConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (c *chopConn) SetReadDeadline(t time.Time) error {
-	c.recv.mu.Lock()
-	c.recv.rdl = t
-	c.recv.cond.Broadcast()
-	c.recv.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (c *chopConn) SetWriteDeadline(time.Time) error { return nil }
-
-type stegAddr string
-
-func (stegAddr) Network() string  { return "steg" }
-func (a stegAddr) String() string { return string(a) }
-
-type stegTimeout struct{}
-
-func (stegTimeout) Error() string   { return "stegotorus: i/o timeout" }
-func (stegTimeout) Timeout() bool   { return true }
-func (stegTimeout) Temporary() bool { return true }
-
-var errStegTimeout = stegTimeout{}
 
 // Server is the stegotorus server.
 type Server struct {

@@ -3,6 +3,7 @@ package stegotorus
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,13 +53,19 @@ func TestDecodeCoverRejectsGarbage(t *testing.T) {
 	}
 }
 
+// newTestSession returns a chopped-stream endpoint with no fan-out conns,
+// so blocks reach it only through Deliver.
+func newTestSession() *chopConn {
+	return newChopConn(netem.NewClock(), Config{}.withDefaults(), 1, nil, 1)
+}
+
 func TestSessionReorders(t *testing.T) {
-	s := newSession(netem.NewClock())
-	s.accept(2, []byte("cc"))
-	s.accept(0, []byte("aa"))
-	s.accept(1, []byte("bb"))
+	s := newTestSession()
+	s.Deliver(2, []byte("cc"))
+	s.Deliver(0, []byte("aa"))
+	s.Deliver(1, []byte("bb"))
 	buf := make([]byte, 6)
-	n, err := s.read(buf)
+	n, err := s.Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,26 +75,30 @@ func TestSessionReorders(t *testing.T) {
 }
 
 func TestSessionDuplicateIgnored(t *testing.T) {
-	s := newSession(netem.NewClock())
-	s.accept(0, []byte("x"))
-	s.accept(0, []byte("y")) // duplicate seq: ignored
+	s := newTestSession()
+	s.Deliver(0, []byte("x"))
+	s.Deliver(0, []byte("y")) // duplicate seq: ignored
+	s.Fin(1)
 	buf := make([]byte, 4)
-	n, _ := s.read(buf)
+	n, _ := s.Read(buf)
 	if string(buf[:n]) != "x" {
 		t.Fatalf("got %q", buf[:n])
+	}
+	if _, err := s.Read(buf); err != io.EOF {
+		t.Fatalf("want EOF after the announced block, got %v", err)
 	}
 }
 
 func TestSessionCloseDrainsThenEOF(t *testing.T) {
-	s := newSession(netem.NewClock())
-	s.accept(0, []byte("tail"))
-	s.close()
+	s := newTestSession()
+	s.Deliver(0, []byte("tail"))
+	s.Close()
 	buf := make([]byte, 8)
-	n, err := s.read(buf)
+	n, err := s.Read(buf)
 	if err != nil || string(buf[:n]) != "tail" {
 		t.Fatalf("drain failed: %q %v", buf[:n], err)
 	}
-	if _, err := s.read(buf); err == nil {
+	if _, err := s.Read(buf); err == nil {
 		t.Fatal("want EOF after drain")
 	}
 }
