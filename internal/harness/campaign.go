@@ -14,8 +14,6 @@ import (
 // of every slice refers to the same site, which is what makes paired
 // t-tests across methods valid.
 type accessData struct {
-	// Name is the access method.
-	Name string
 	// Times are per-site mean access times (seconds).
 	Times []float64
 	// TTFBs are per-site mean times to first byte (seconds).
@@ -118,7 +116,7 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 		if err := d.Preheat(); err != nil {
 			return nil, fmt.Errorf("preheat: %w", err)
 		}
-		data := &accessData{Name: name}
+		data := &accessData{}
 		for si, site := range sites {
 			// MaxCircuitDirtiness analog: rotate circuits every few
 			// sites, as a real client browsing this long would.

@@ -648,7 +648,7 @@ func (r *Runner) runTable7() error {
 	acc := map[string]*accessData{}
 	//simlint:allow maprange -- per-key transform into a fresh map; keys are independent, so writes commute, and allPairs orders methods explicitly.
 	for name, fd := range data {
-		d := &accessData{Name: name}
+		d := &accessData{}
 		for _, a := range fd.Attempts {
 			d.Times = append(d.Times, a.Seconds)
 		}
@@ -681,9 +681,9 @@ func (r *Runner) runTable10() error {
 	if d, ok := data["tor"]; ok {
 		catData["Tor"] = d
 	}
-	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; allPairsNamed fixes the output order.
+	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; allPairs fixes the output order.
 	for cat, members := range cats {
-		agg := &accessData{Name: cat.String()}
+		agg := &accessData{}
 		var n int
 		for _, m := range members {
 			d, ok := data[m]
@@ -708,29 +708,6 @@ func (r *Runner) runTable10() error {
 	}
 	order := []string{"Tor", pt.ProxyLayer.String(), pt.Tunneling.String(), pt.Mimicry.String(), pt.FullyEncrypted.String()}
 	writePairedT(r.out, "Paired t-tests, PT category pairs (curl access)",
-		allPairsNamed(catData, order))
+		allPairs(catData, times, order))
 	return nil
-}
-
-// allPairsNamed is allPairs over explicitly named datasets.
-func allPairsNamed(data map[string]*accessData, order []string) []pairResult {
-	var out []pairResult
-	for i := 0; i < len(order); i++ {
-		a, ok := data[order[i]]
-		if !ok {
-			continue
-		}
-		for j := i + 1; j < len(order); j++ {
-			b, ok := data[order[j]]
-			if !ok {
-				continue
-			}
-			res, err := stats.PairedT(a.Times, b.Times)
-			if err != nil {
-				continue
-			}
-			out = append(out, pairResult{Name: order[i] + "-" + order[j], Res: res})
-		}
-	}
-	return out
 }

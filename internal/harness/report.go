@@ -168,7 +168,8 @@ func pvalue(p float64) string {
 	return fmt.Sprintf("%.3f", p)
 }
 
-// allPairs runs paired t-tests over every method pair of the dataset.
+// allPairs runs paired t-tests over every pair of datasets named in
+// order, in that order, and labels each row by the two order keys.
 func allPairs(data map[string]*accessData, pick func(*accessData) []float64, order []string) []pairResult {
 	var out []pairResult
 	for i := 0; i < len(order); i++ {
@@ -185,7 +186,7 @@ func allPairs(data map[string]*accessData, pick func(*accessData) []float64, ord
 			if err != nil {
 				continue
 			}
-			out = append(out, pairResult{Name: a.Name + "-" + b.Name, Res: res})
+			out = append(out, pairResult{Name: order[i] + "-" + order[j], Res: res})
 		}
 	}
 	return out

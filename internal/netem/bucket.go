@@ -68,17 +68,6 @@ func (b *Bucket) Rate() float64 {
 	return b.rate
 }
 
-// SetRate changes the effective rate. Used by load scenarios (e.g. the
-// post-September snowflake surge).
-func (b *Bucket) SetRate(rate float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if rate < 1 {
-		rate = 1
-	}
-	b.rate = rate
-}
-
 // Reload reconfigures capacity and utilization together, recomputing
 // both the effective rate and the queueing latency.
 func (b *Bucket) Reload(capacity, utilization float64) {
@@ -122,6 +111,3 @@ func (b *Bucket) Reserve(now time.Duration, n int) time.Duration {
 	b.free = start + tx
 	return b.free
 }
-
-// Unlimited returns a bucket that never delays.
-func Unlimited() *Bucket { return &Bucket{rate: 1e15} }

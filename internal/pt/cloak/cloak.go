@@ -14,7 +14,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -155,35 +154,17 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.UID) == 0 {
 		return nil, errors.New("cloak: server needs a client UID table")
 	}
-	var mu sync.Mutex
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
-	}, handle)
+	return pt.ListenAndServe(host, port, pt.Seeded(cfg.Seed, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return serverWrap(conn, cfg, seed)
+	}), handle)
 }
 
 // NewDialer returns the cloak client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
-	seed := cfg.Seed + 49979687
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.UID) == 0 {
-			return nil, errors.New("cloak: dialer needs a UID")
-		}
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("cloak: %w", err)
-		}
-		return conn, nil
+	if len(cfg.UID) == 0 {
+		return pt.Refuse(errors.New("cloak: dialer needs a UID"))
+	}
+	return pt.SeededDialer("cloak", host, addr, cfg.Seed+49979687, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return clientWrap(conn, cfg, seed)
 	})
 }

@@ -193,22 +193,18 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.Secret) == 0 {
 		return nil, errors.New("conjure: bridge needs a secret")
 	}
-	var mu sync.Mutex
-	seed := cfg.Seed
+	seeds := pt.NewSeeds(cfg.Seed)
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
 		nonce := make([]byte, nonceLen)
 		if _, err := io.ReadFull(conn, nonce); err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
+		// The seed is drawn only once the nonce has arrived.
 		return pt.NewRecordConn(conn, pt.RecordConfig{
 			Key:      sessionKey(cfg.Secret, nonce),
 			IsClient: false,
 			Header:   []byte{0x17, 0x03, 0x03},
-			Seed:     s,
+			Seed:     seeds.Next(),
 		})
 	}, handle)
 }
@@ -219,9 +215,7 @@ type Dialer struct {
 	registrarAddr string
 	phantomAddr   string
 	cfg           Config
-
-	mu   sync.Mutex
-	seed int64
+	seeds         *pt.Seeds
 }
 
 // NewDialer returns a conjure client using the given infrastructure.
@@ -231,7 +225,7 @@ func NewDialer(host *netem.Host, registrarAddr, phantomAddr string, cfg Config) 
 		registrarAddr: registrarAddr,
 		phantomAddr:   phantomAddr,
 		cfg:           cfg,
-		seed:          cfg.Seed + 86028157,
+		seeds:         pt.NewSeeds(cfg.Seed + 86028157),
 	}
 }
 
@@ -241,10 +235,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if len(d.cfg.Secret) == 0 {
 		return nil, errors.New("conjure: dialer needs a secret")
 	}
-	d.mu.Lock()
-	d.seed++
-	s := d.seed
-	d.mu.Unlock()
+	s := d.seeds.Next()
 	rng := rand.New(rand.NewSource(s))
 	nonce := make([]byte, nonceLen)
 	for i := range nonce {

@@ -373,16 +373,7 @@ func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	clock := host.Network().Clock()
-	var mu sync.Mutex
-	s := seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
-		s++
-		mine := s
-		mu.Unlock()
-		return newConn(model, conn, clock, mine), nil
-	}, handle)
+	return pt.ListenAndServe(host, port, pt.Seeded(seed, wrapper(host, model)), handle)
 }
 
 // NewDialer returns a marionette client for a server at addr.
@@ -390,23 +381,14 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
+	return pt.SeededDialer("marionette", host, addr, seed+179426549, wrapper(host, model)), nil
+}
+
+// wrapper runs the model's automaton over each connection; both ends
+// start it the same way, neither waits for a handshake.
+func wrapper(host *netem.Host, model *Model) pt.SeededWrapper {
 	clock := host.Network().Clock()
-	var mu sync.Mutex
-	s := seed + 179426549
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		mu.Lock()
-		s++
-		mine := s
-		mu.Unlock()
-		raw, err := host.Dial(addr)
-		if err != nil {
-			return nil, fmt.Errorf("marionette: %w", err)
-		}
-		mc := newConn(model, raw, clock, mine)
-		if err := pt.WriteTarget(mc, target); err != nil {
-			mc.Close()
-			return nil, err
-		}
-		return mc, nil
-	}), nil
+	return func(conn net.Conn, seed int64) (net.Conn, error) {
+		return newConn(model, conn, clock, seed), nil
+	}
 }

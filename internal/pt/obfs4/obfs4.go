@@ -14,11 +14,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -145,37 +143,17 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.Secret) == 0 {
 		return nil, errors.New("obfs4: server needs a shared secret")
 	}
-	var mu sync.Mutex
-	seed := cfg.Seed
-	next := func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		seed++
-		return seed
-	}
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		return serverWrap(conn, cfg, next())
-	}, handle)
+	return pt.ListenAndServe(host, port, pt.Seeded(cfg.Seed, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return serverWrap(conn, cfg, seed)
+	}), handle)
 }
 
 // NewDialer returns the obfs4 client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
-	seed := cfg.Seed + 7919
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		if len(cfg.Secret) == 0 {
-			return nil, errors.New("obfs4: dialer needs a shared secret")
-		}
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("obfs4: %w", err)
-		}
-		return conn, nil
+	if len(cfg.Secret) == 0 {
+		return pt.Refuse(errors.New("obfs4: dialer needs a shared secret"))
+	}
+	return pt.SeededDialer("obfs4", host, addr, cfg.Seed+7919, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return clientWrap(conn, cfg, seed)
 	})
 }

@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -219,35 +218,17 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.HostKey) == 0 {
 		return nil, errors.New("psiphon: server needs a host key")
 	}
-	var mu sync.Mutex
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
-	}, handle)
+	return pt.ListenAndServe(host, port, pt.Seeded(cfg.Seed, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return serverWrap(conn, cfg, seed)
+	}), handle)
 }
 
 // NewDialer returns the psiphon client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
-	seed := cfg.Seed + 32452843
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.HostKey) == 0 {
-			return nil, errors.New("psiphon: dialer needs a host key")
-		}
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("psiphon: %w", err)
-		}
-		return conn, nil
+	if len(cfg.HostKey) == 0 {
+		return pt.Refuse(errors.New("psiphon: dialer needs a host key"))
+	}
+	return pt.SeededDialer("psiphon", host, addr, cfg.Seed+32452843, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return clientWrap(conn, cfg, seed)
 	})
 }

@@ -1,8 +1,8 @@
 // Package pt defines the pluggable-transport framework of the PTPerf
 // reproduction: transport metadata (category, integration set,
 // capabilities), the Dialer/Server contract every transport implements,
-// record framing with stream ciphers, target prologues, splicing, and
-// Stream — the message-stream net.Conn that meek, dnstt, camoufler,
+// record framing with stream ciphers, target prologues, splicing, the
+// seeded server/dialer skeleton (server.go), and Stream — the message-stream net.Conn that meek, dnstt, camoufler,
 // stegotorus and marionette build on (inbound reassembly, end of
 // stream, read deadlines and a bounded outbound queue).
 //

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -189,22 +188,10 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 
 // NewDialer returns the shadowsocks client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
-	seed := cfg.Seed + 104729
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.PSK) == 0 {
-			return nil, errors.New("shadowsocks: dialer needs a PSK")
-		}
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("shadowsocks: %w", err)
-		}
-		return conn, nil
+	if len(cfg.PSK) == 0 {
+		return pt.Refuse(errors.New("shadowsocks: dialer needs a PSK"))
+	}
+	return pt.SeededDialer("shadowsocks", host, addr, cfg.Seed+104729, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return clientWrap(conn, cfg, seed)
 	})
 }

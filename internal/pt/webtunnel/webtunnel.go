@@ -12,11 +12,9 @@ package webtunnel
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -149,35 +147,17 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.SessionKey) == 0 {
 		return nil, errors.New("webtunnel: server needs a session key")
 	}
-	var mu sync.Mutex
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
-	}, handle)
+	return pt.ListenAndServe(host, port, pt.Seeded(cfg.Seed, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return serverWrap(conn, cfg, seed)
+	}), handle)
 }
 
 // NewDialer returns the webtunnel client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
-	seed := cfg.Seed + 15485863
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.SessionKey) == 0 {
-			return nil, errors.New("webtunnel: dialer needs a session key")
-		}
-		mu.Lock()
-		seed++
-		s := seed
-		mu.Unlock()
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("webtunnel: %w", err)
-		}
-		return conn, nil
+	if len(cfg.SessionKey) == 0 {
+		return pt.Refuse(errors.New("webtunnel: dialer needs a session key"))
+	}
+	return pt.SeededDialer("webtunnel", host, addr, cfg.Seed+15485863, func(conn net.Conn, seed int64) (net.Conn, error) {
+		return clientWrap(conn, cfg, seed)
 	})
 }

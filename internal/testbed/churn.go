@@ -38,18 +38,17 @@ var ChurnLevels = []ChurnLevel{
 	{Name: "fast", Period: 20 * time.Second, Downtime: 10 * time.Second},
 }
 
-// ChurnLevelNames lists the family in sweep order.
-func ChurnLevelNames() []string {
-	out := make([]string, len(ChurnLevels))
-	for i, lv := range ChurnLevels {
-		out[i] = lv.Name
-	}
-	return out
-}
-
 // churnStart delays the first failure so clients can preheat circuits
 // on healthy infrastructure; failures then land mid-measurement.
 const churnStart = 30 * time.Second
+
+// ChurnPlanFor is ChurnPlan sized for the volunteer fleet the given
+// Options will build (after defaulting), so callers need not repeat
+// the default fleet dimensions.
+func ChurnPlanFor(lv ChurnLevel, o Options, horizon time.Duration) faults.Plan {
+	d := o.withDefaults()
+	return ChurnPlan(lv, d.Guards, d.Middles, d.Exits, horizon)
+}
 
 // ChurnPlan compiles a level into a concrete fault schedule for a
 // volunteer fleet of the given size (Options.Guards/Middles/Exits
@@ -61,14 +60,6 @@ const churnStart = 30 * time.Second
 // only, which run on dedicated same-named hosts; PT bridge hosts are
 // never touched, so the plan perturbs the Tor path, not the transport
 // tunnel itself.
-// ChurnPlanFor is ChurnPlan sized for the volunteer fleet the given
-// Options will build (after defaulting), so callers need not repeat
-// the default fleet dimensions.
-func ChurnPlanFor(lv ChurnLevel, o Options, horizon time.Duration) faults.Plan {
-	d := o.withDefaults()
-	return ChurnPlan(lv, d.Guards, d.Middles, d.Exits, horizon)
-}
-
 func ChurnPlan(lv ChurnLevel, guards, middles, exits int, horizon time.Duration) faults.Plan {
 	p := faults.Plan{Name: lv.Name}
 	if lv.Period <= 0 || guards <= 0 || middles <= 0 || exits <= 0 {

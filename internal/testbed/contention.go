@@ -48,15 +48,6 @@ var ContentionLevels = []ContentionLevel{
 	{Name: "overload", Competitors: 8, FileMB: 20, Think: 250 * time.Millisecond, Stagger: 500 * time.Millisecond},
 }
 
-// ContentionLevelNames lists the family in sweep order.
-func ContentionLevelNames() []string {
-	out := make([]string, len(ContentionLevels))
-	for i, lv := range ContentionLevels {
-		out[i] = lv.Name
-	}
-	return out
-}
-
 // ContentionRig extends the shared-first-hop rig (§4.2.1's fixed
 // circuit) with a competitor fleet: vanilla Tor clients pinned to the
 // same guard, looping bulk downloads of the origin. The measured
@@ -136,9 +127,6 @@ func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
 	}
 	return r, nil
 }
-
-// Level returns the rig's load level.
-func (r *ContentionRig) Level() ContentionLevel { return r.level }
 
 // Start launches the competitor loops as simulation goroutines:
 // staggered starts, then bulk download / think / repeat until Stop.

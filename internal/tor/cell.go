@@ -1,7 +1,8 @@
 // Package tor implements the Tor substrate of the PTPerf simulation: an
 // onion-routing overlay with fixed-size cells, circuit handshakes,
 // per-hop onion layers, guard/middle/exit relays, bandwidth-weighted
-// path selection, window-based flow control and a SOCKS5-fronted client.
+// path selection, window-based flow control and a client whose Dial
+// opens one stream per target.
 //
 // The substrate mirrors the real Tor protocol (tor-spec.txt) at the
 // level that matters for performance measurement: per-hop round trips

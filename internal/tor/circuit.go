@@ -195,32 +195,16 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 	return nil
 }
 
-// readLoop demultiplexes backward cells. One persistent wire buffer is
-// reused for every cell: deliver's handlers either consume rc.Data
-// synchronously (Stream.push copies) or copy it before retaining it
-// (the build control queue).
+// readLoop demultiplexes backward cells until the circuit closes. One
+// persistent wire buffer is reused for every cell (see clientCell).
 func (circ *circuit) readLoop() {
 	buf := make([]byte, CellSize)
-	for {
+	for !circ.isClosed() {
 		if err := readWire(circ.conn, buf); err != nil {
 			circ.close(err)
 			return
 		}
-		switch Command(buf[4]) {
-		case CmdRelay:
-			if wireCircID(buf) != circ.id {
-				continue
-			}
-			hop, rc, ok := circ.peel(wirePayload(buf))
-			if !ok {
-				circ.close(fmt.Errorf("tor: unrecognized backward cell"))
-				return
-			}
-			circ.deliver(hop, rc)
-		case CmdDestroy:
-			circ.close(ErrCircuitClosed)
-			return
-		}
+		circ.clientCell(buf)
 	}
 }
 
@@ -257,8 +241,9 @@ func (circ *circuit) cellSink(data []byte, base *[]byte, pool *sync.Pool, err er
 }
 
 // clientCell handles one backward wire cell in place; the caller keeps
-// buffer ownership (deliver's handlers consume or copy Data
-// synchronously, as in readLoop).
+// buffer ownership: deliver's handlers either consume rc.Data
+// synchronously (Stream.push copies) or copy it before retaining it
+// (the build control queue).
 func (circ *circuit) clientCell(buf []byte) {
 	switch Command(buf[4]) {
 	case CmdRelay:

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
-	"ptperf/internal/socks"
 )
 
 // Errors surfaced by the client.
@@ -465,57 +464,4 @@ func (c *Client) Dial(target string) (net.Conn, error) {
 		c.rec.reAttaches.Add(1)
 		c.NewCircuit()
 	}
-}
-
-// ServeSOCKS runs a SOCKS5 front end on the given port of the client's
-// host, attaching each CONNECT to the circuit. It returns the listener
-// address once listening; the accept loop runs until the listener closes.
-func (c *Client) ServeSOCKS(port int) (net.Addr, func() error, error) {
-	ln, err := c.cfg.Host.Listen(port)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.clock.Go(func() {
-		socks.Serve(c.clock, ln, func(target string, conn net.Conn) {
-			up, err := c.Dial(target)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			proxyPair(c.clock, conn, up)
-		})
-	})
-	return ln.Addr(), ln.Close, nil
-}
-
-// proxyPair splices two conns together and closes both when both
-// directions finish.
-func proxyPair(clock *netem.Clock, a, b net.Conn) {
-	wg := netem.NewWaitGroup(clock)
-	cp := func(dst, src net.Conn) {
-		defer wg.Done()
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		if cw, ok := dst.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite()
-		} else {
-			dst.Close()
-		}
-	}
-	wg.Add(2)
-	clock.Go(func() { cp(a, b) })
-	clock.Go(func() { cp(b, a) })
-	wg.Wait()
-	a.Close()
-	b.Close()
 }
