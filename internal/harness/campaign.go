@@ -6,7 +6,6 @@ import (
 
 	"ptperf/internal/fetch"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 	"ptperf/internal/testbed"
 )
 
@@ -29,32 +28,27 @@ const pageTimeout = 120 * time.Second
 // fileTimeout mirrors the paper's 1200 s bulk timeout.
 const fileTimeout = 1200 * time.Second
 
-// curlTask submits (once) the curl website-access campaign world: every
-// configured method over Tranco+CBL.
-func (r *Runner) curlTask() *sim.Future[any] {
-	return r.accessTask("curl", r.cfg.Transports, func(w *testbed.World, d *testbed.Deployment, site siteRef) (float64, float64, float64, error) {
-		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		res := c.Get(w.Origin.Addr(), site.path, false)
-		return seconds(res.Total), seconds(res.TTFB), 0, nil
-	})
-}
+// The three paper campaigns build their world on streamCampaign, so
+// curl, selenium and bulk downloads measure the same topology, relay
+// draws and catalogs — they only differ in what the client does,
+// exactly like the paper's campaigns running on one deployment.
 
-// curlData joins the curl campaign.
-func (r *Runner) curlData() (map[string]*accessData, error) {
-	v, err := r.curlTask().Wait()
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[string]*accessData), nil
-}
+// curlCell is the curl website-access campaign: every configured method
+// over Tranco+CBL.
+var curlCell = accessCell("curl", func(c Config) []string { return c.Transports },
+	func(w *testbed.World, d *testbed.Deployment, site string) (float64, float64, float64) {
+		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
+		res := c.Get(w.Origin.Addr(), site, false)
+		return seconds(res.Total), seconds(res.TTFB), 0
+	})
 
 // seleniumMethods filters the configured transports down to the
 // browser-capable subset: transports that cannot serve parallel streams
 // (camoufler, §4.2) are excluded. Table 1's selenium and speed-index
 // counts use the same subset.
-func (r *Runner) seleniumMethods() []string {
-	methods := make([]string, 0, len(r.cfg.Transports))
-	for _, m := range r.cfg.Transports {
+func seleniumMethods(c Config) []string {
+	methods := make([]string, 0, len(c.Transports))
+	for _, m := range c.Transports {
 		if info, ok := pt.InfoFor(m); ok && !info.ParallelStreams {
 			continue
 		}
@@ -63,51 +57,39 @@ func (r *Runner) seleniumMethods() []string {
 	return methods
 }
 
-// seleniumTask submits (once) the browser campaign world; camoufler is
-// excluded because it cannot serve parallel streams (§4.2).
-func (r *Runner) seleniumTask() *sim.Future[any] {
-	return r.accessTask("selenium", r.seleniumMethods(), func(w *testbed.World, d *testbed.Deployment, site siteRef) (float64, float64, float64, error) {
+// seleniumCell is the browser campaign over the browser-capable methods.
+var seleniumCell = accessCell("selenium", seleniumMethods,
+	func(w *testbed.World, d *testbed.Deployment, site string) (float64, float64, float64) {
 		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		pr := c.Browse(w.Origin.Addr(), site.path, fetch.DefaultBrowserConns)
+		pr := c.Browse(w.Origin.Addr(), site, fetch.DefaultBrowserConns)
 		if !pr.OK {
 			// Incomplete page loads count as the timeout, as selenium
 			// reports them; a dead circuit is rebuilt for the next run.
 			d.FreshCircuit()
-			return pageTimeout.Seconds(), seconds(pr.TTFB), pageTimeout.Seconds(), nil
+			return pageTimeout.Seconds(), seconds(pr.TTFB), pageTimeout.Seconds()
 		}
-		return seconds(pr.PageLoadTime), seconds(pr.TTFB), seconds(pr.SpeedIndex), nil
+		return seconds(pr.PageLoadTime), seconds(pr.TTFB), seconds(pr.SpeedIndex)
 	})
-}
 
-// seleniumData joins the browser campaign.
-func (r *Runner) seleniumData() (map[string]*accessData, error) {
-	v, err := r.seleniumTask().Wait()
-	if err != nil {
-		return nil, err
+// accessFunc measures one access to site, returning its total time,
+// time to first byte and speed index in seconds.
+type accessFunc func(w *testbed.World, d *testbed.Deployment, site string) (total, ttfb, speedIndex float64)
+
+// accessCell declares one access-campaign cell over the given methods.
+func accessCell(kind string, methods func(Config) []string, measure accessFunc) *cell[map[string]*accessData] {
+	return &cell[map[string]*accessData]{
+		key:    "access:" + kind,
+		stream: []int64{streamCampaign},
+		knobs:  func(c Config) string { return fmt.Sprintf("methods=%v repeats=%d", methods(c), c.Repeats) },
+		measure: func(r *Runner, w *testbed.World) (map[string]*accessData, error) {
+			return r.measureAccess(w, methods(r.cfg), measure)
+		},
 	}
-	return v.(map[string]*accessData), nil
-}
-
-// accessTask submits one access-campaign world task. All three paper
-// campaigns build their world on streamCampaign, so curl, selenium and
-// bulk downloads measure the same topology, relay draws and catalogs —
-// they only differ in what the client does, exactly like the paper's
-// campaigns running on one deployment.
-func (r *Runner) accessTask(kind string, methods []string, measure func(*testbed.World, *testbed.Deployment, siteRef) (float64, float64, float64, error)) *sim.Future[any] {
-	spec := r.cellSpec(
-		fmt.Sprintf("methods=%v", methods),
-		fmt.Sprintf("repeats=%d", r.cfg.Repeats),
-	)
-	return r.worldTask("access:"+kind, r.worldOptions(streamCampaign), spec,
-		jsonValue[map[string]*accessData](),
-		func(w *testbed.World) (any, error) {
-			return r.measureAccess(w, methods, measure)
-		})
 }
 
 // measureAccess runs one access campaign over an already-built world.
-func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(*testbed.World, *testbed.Deployment, siteRef) (float64, float64, float64, error)) (map[string]*accessData, error) {
-	sites := r.sites(w)
+func (r *Runner) measureAccess(w *testbed.World, methods []string, measure accessFunc) (map[string]*accessData, error) {
+	sites := r.sites(w, 2*r.cfg.Sites)
 	return forEachMethod(r, w, methods, methodsInFlight, func(name string) (*accessData, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
@@ -127,25 +109,16 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 				}
 			}
 			var tSum, fSum, sSum float64
-			n := 0
 			for rep := 0; rep < r.cfg.Repeats; rep++ {
-				total, ttfb, si, err := measure(w, d, site)
-				if err != nil {
-					continue
-				}
+				total, ttfb, speed := measure(w, d, site)
 				tSum += total
 				fSum += ttfb
-				sSum += si
-				n++
+				sSum += speed
 			}
-			if n == 0 {
-				n = 1
-				tSum = pageTimeout.Seconds()
-				fSum = pageTimeout.Seconds()
-			}
-			data.Times = append(data.Times, tSum/float64(n))
-			data.TTFBs = append(data.TTFBs, fSum/float64(n))
-			data.SpeedIndexes = append(data.SpeedIndexes, sSum/float64(n))
+			n := float64(r.cfg.Repeats)
+			data.Times = append(data.Times, tSum/n)
+			data.TTFBs = append(data.TTFBs, fSum/n)
+			data.SpeedIndexes = append(data.SpeedIndexes, sSum/n)
 		}
 		// Park the transport when its campaign ends: polling tunnels
 		// (dnstt, meek, camoufler) otherwise keep generating events
@@ -218,62 +191,55 @@ func (fd *fileData) fractions() []float64 {
 	return out
 }
 
-// filesTask submits (once) the bulk-download campaign world.
-func (r *Runner) filesTask() *sim.Future[any] {
-	spec := r.cellSpec(
-		fmt.Sprintf("methods=%v", r.cfg.Transports),
-		fmt.Sprintf("sizes=%v", r.cfg.FileSizesMB),
-		fmt.Sprintf("attempts=%d", r.cfg.FileAttempts),
-	)
-	return r.worldTask("files", r.worldOptions(streamCampaign), spec,
-		jsonValue[map[string]*fileData](),
-		func(w *testbed.World) (any, error) {
-			return forEachMethod(r, w, r.cfg.Transports, 1, func(name string) (*fileData, error) {
-				d, err := w.Deployment(name)
-				if err != nil {
-					return nil, err
-				}
-				if err := d.Preheat(); err != nil {
-					return nil, err
-				}
-				c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: fileTimeout}
-				data := &fileData{Name: name}
-				for _, mb := range r.cfg.FileSizesMB {
-					size := w.Bytes(mb << 20)
-					for attempt := 0; attempt < r.cfg.FileAttempts; attempt++ {
-						res := c.DownloadFile(w.Origin.Addr(), size)
-						data.Attempts = append(data.Attempts, fileAttempt{
-							SizeBytes: size,
-							SizeMB:    mb,
-							Seconds:   seconds(res.Total),
-							Fraction:  res.Fraction(),
-							Complete:  res.Complete(),
-							Failed:    res.Failed(),
-						})
-						// A broken circuit (snowflake churn, meek budget) must
-						// not poison subsequent attempts.
-						if !res.Complete() {
-							d.FreshCircuit()
-							if err := d.Preheat(); err != nil {
-								// The transport may be temporarily out of
-								// capacity; subsequent dials retry anyway.
-								continue
-							}
-						}
-					}
-				}
-				// Park the transport's tunnels (see measureAccess).
-				d.FreshCircuit()
-				return data, nil
-			})
-		})
+// filesCell is the bulk-download campaign.
+var filesCell = &cell[map[string]*fileData]{
+	key:    "files",
+	stream: []int64{streamCampaign},
+	knobs: func(c Config) string {
+		return fmt.Sprintf("methods=%v sizes=%v attempts=%d", c.Transports, c.FileSizesMB, c.FileAttempts)
+	},
+	measure: measureFiles,
 }
 
-// filesData joins the bulk-download campaign.
-func (r *Runner) filesData() (map[string]*fileData, error) {
-	v, err := r.filesTask().Wait()
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[string]*fileData), nil
+// measureFiles downloads every configured file size FileAttempts times
+// per method, one method at a time.
+func measureFiles(r *Runner, w *testbed.World) (map[string]*fileData, error) {
+	return forEachMethod(r, w, r.cfg.Transports, 1, func(name string) (*fileData, error) {
+		d, err := w.Deployment(name)
+		if err != nil {
+			return nil, err
+		}
+		if err := d.Preheat(); err != nil {
+			return nil, err
+		}
+		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: fileTimeout}
+		data := &fileData{Name: name}
+		for _, mb := range r.cfg.FileSizesMB {
+			size := w.Bytes(mb << 20)
+			for attempt := 0; attempt < r.cfg.FileAttempts; attempt++ {
+				res := c.DownloadFile(w.Origin.Addr(), size)
+				data.Attempts = append(data.Attempts, fileAttempt{
+					SizeBytes: size,
+					SizeMB:    mb,
+					Seconds:   seconds(res.Total),
+					Fraction:  res.Fraction(),
+					Complete:  res.Complete(),
+					Failed:    res.Failed(),
+				})
+				// A broken circuit (snowflake churn, meek budget) must
+				// not poison subsequent attempts.
+				if !res.Complete() {
+					d.FreshCircuit()
+					if err := d.Preheat(); err != nil {
+						// The transport may be temporarily out of
+						// capacity; subsequent dials retry anyway.
+						continue
+					}
+				}
+			}
+		}
+		// Park the transport's tunnels (see measureAccess).
+		d.FreshCircuit()
+		return data, nil
+	})
 }

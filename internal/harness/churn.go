@@ -85,7 +85,7 @@ func churnGrid() *grid {
 		note:      "Expected: downloads survive churn through resume legs and circuit rebuilds — success stays high while recovery counters, not failure rates, absorb the damage.\n\n",
 	}
 	for i, lv := range testbed.ChurnLevels {
-		g.levels = append(g.levels, gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
+		g.add(gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
 	}
 	return g
 }

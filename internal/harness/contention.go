@@ -55,11 +55,11 @@ func contentionGrid() *grid {
 		note:      "Expected: the measured (bursty) circuits pay queueing delay under FIFO that EWMA priority removes.\n\n",
 	}
 	for i, lv := range testbed.ContentionLevels {
-		g.levels = append(g.levels, gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
+		g.add(gridLevel{key: strconv.Itoa(i), label: lv.Name, i: i})
 	}
 	top := g.levels[len(g.levels)-1]
 	top.key, top.extra = top.key+":fifo", true
-	g.levels = append(g.levels, top)
+	g.add(top)
 	return g
 }
 
@@ -86,10 +86,7 @@ func measureContention(r *Runner, w *testbed.World, methods []string, lv gridLev
 	if err != nil {
 		return nil, err
 	}
-	sites := r.sites(w)
-	if len(sites) > contentionSites {
-		sites = sites[:contentionSites]
-	}
+	sites := r.sites(w, contentionSites)
 	cell := &gridCell{Methods: make(map[string]*gridSamples, len(methods))}
 	for _, method := range methods {
 		cl := clients[method]
@@ -100,7 +97,7 @@ func measureContention(r *Runner, w *testbed.World, methods []string, lv gridLev
 		s := &gridSamples{}
 		for _, site := range sites {
 			for rep := 0; rep < r.cfg.Repeats; rep++ {
-				res := c.Get(w.Origin.Addr(), site.path, false)
+				res := c.Get(w.Origin.Addr(), site, false)
 				if res.Err != nil || !res.Complete() {
 					s.Times = append(s.Times, pageTimeout.Seconds())
 					s.TTFBs = append(s.TTFBs, pageTimeout.Seconds())

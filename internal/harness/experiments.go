@@ -7,19 +7,10 @@ import (
 	"ptperf/internal/fetch"
 	"ptperf/internal/geo"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
 )
-
-// The experiments that build their own worlds are split in two: a
-// *Task method submits the world task (build world, measure, return
-// values) on the shard executor, and the run* method joins the future
-// and renders the report. Prefetching submits every task before any
-// render, so "-exp all" keeps all -jobs cores busy while reports still
-// come out strictly in paper order. The {methods} × {axis} experiments
-// (medium, fig7) are grid entries instead (grid.go).
 
 // boxRows builds the standard per-method box table from a dataset.
 func boxRows(data map[string]*accessData, pick func(*accessData) []float64, order []string) []boxRow {
@@ -33,7 +24,6 @@ func boxRows(data map[string]*accessData, pick func(*accessData) []float64, orde
 }
 
 func times(d *accessData) []float64   { return d.Times }
-func ttfbs(d *accessData) []float64   { return d.TTFBs }
 func speedIx(d *accessData) []float64 { return d.SpeedIndexes }
 
 // runTable1 prints the campaign inventory in the shape of Table 1.
@@ -45,7 +35,7 @@ func (r *Runner) runTable1() error {
 	// The selenium rows count the browser-capable subset, not
 	// methods-1: that shortcut assumed camoufler is always in the
 	// configured set.
-	selenium := len(r.seleniumMethods())
+	selenium := len(seleniumMethods(c))
 	t.add("Website Download (curl)", fmt.Sprintf("%d", sites*c.Repeats*methods), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
 	t.add("Website Download (selenium)", fmt.Sprintf("%d", sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
 	t.add("File Downloads (curl)", fmt.Sprintf("%d", len(c.FileSizesMB)*c.FileAttempts*methods), fmt.Sprintf("%v MB", c.FileSizesMB))
@@ -78,10 +68,7 @@ func (r *Runner) runTable2() error {
 // measureSites is the medium and location measure: plain curl access
 // to the first Sites sites, per method.
 func measureSites(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*gridCell, error) {
-	sites := r.sites(w)
-	if len(sites) > r.cfg.Sites {
-		sites = sites[:r.cfg.Sites]
-	}
+	sites := r.sites(w, r.cfg.Sites)
 	results, err := forEachMethod(r, w, methods, methodsInFlight, func(name string) (*gridSamples, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
@@ -93,7 +80,7 @@ func measureSites(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*
 		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
 		s := &gridSamples{}
 		for _, site := range sites {
-			res := c.Get(w.Origin.Addr(), site.path, false)
+			res := c.Get(w.Origin.Addr(), site, false)
 			s.Times = append(s.Times, seconds(res.Total))
 		}
 		return s, nil
@@ -123,7 +110,7 @@ func mediumGrid() *grid {
 		note:    "Expected: the between-transport ordering is unchanged by the medium (§4.7).\n",
 	}
 	for i, m := range mediumKinds {
-		g.levels = append(g.levels, gridLevel{key: m.String(), label: m.String(), i: i})
+		g.add(gridLevel{key: m.String(), label: m.String(), i: i})
 	}
 	return g
 }
@@ -133,7 +120,7 @@ var mediumKinds = []geo.Medium{geo.Wired, geo.Wireless}
 
 // runFig2a prints the curl website-access box plots.
 func (r *Runner) runFig2a() error {
-	data, err := r.curlData()
+	data, err := curlCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -144,7 +131,7 @@ func (r *Runner) runFig2a() error {
 
 // runFig2b prints the selenium page-load box plots.
 func (r *Runner) runFig2b() error {
-	data, err := r.seleniumData()
+	data, err := seleniumCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -166,79 +153,69 @@ func (r *Runner) runFig2b() error {
 	return nil
 }
 
-// fixedCircuitSamples measures the rig's three methods over pinned
-// circuits; aligned by (iteration, site).
-func (r *Runner) fixedCircuitSamples(w *testbed.World, rig *testbed.FixedCircuitRig, iters int, pinPair bool) (map[string][]float64, error) {
-	sites := r.sites(w)
-	if len(sites) > 5 {
-		sites = sites[:5] // the paper samples five representative sites
-	}
-	out := map[string][]float64{}
-	for it := 0; it < iters; it++ {
-		var m, e *tor.Descriptor
-		if pinPair {
-			m, e = rig.PickPair(it)
-		}
-		clients, err := rig.Clients(m, e)
-		if err != nil {
-			return nil, err
-		}
-		for _, method := range rig.Methods() {
-			cl := clients[method]
-			if err := cl.Preheat(); err != nil {
-				return nil, fmt.Errorf("%s preheat: %w", method, err)
-			}
-			c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
-			for _, site := range sites {
-				res := c.Get(w.Origin.Addr(), site.path, false)
-				out[method] = append(out[method], seconds(res.Total))
-			}
-			cl.Close()
-		}
-	}
-	return out, nil
-}
-
-// fixedCircuitData is the result of the fig3/fig4 world tasks.
+// fixedCircuitData is the result of the fig3/fig4 cells: per-method
+// samples aligned by (iteration, site).
 type fixedCircuitData struct {
 	Methods []string
 	Samples map[string][]float64
 }
 
-// fixedCircuitTask submits a fixed-circuit rig world.
-func (r *Runner) fixedCircuitTask(key string, stream int64, iters int, pinPair bool) *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("iters=%d pin=%v", iters, pinPair))
-	return r.worldTask(key, r.worldOptions(stream), spec,
-		jsonValue[*fixedCircuitData](),
-		func(w *testbed.World) (any, error) {
+// fig3Cell pins the whole circuit per iteration; fig4Cell pins only the
+// guard and lets Tor pick middle and exit.
+var (
+	fig3Cell = fixedCircuitCell("fig3", streamFig3, 3, 4, true)
+	fig4Cell = fixedCircuitCell("fig4", streamFig4, 2, 3, false)
+)
+
+// fixedCircuitCell declares a fixed-circuit rig world: the rig's three
+// methods measured over max(perRepeat × Repeats, least) iterations.
+func fixedCircuitCell(key string, stream int64, perRepeat, least int, pinPair bool) *cell[*fixedCircuitData] {
+	iters := func(c Config) int { return max(c.Repeats*perRepeat, least) }
+	return &cell[*fixedCircuitData]{
+		key:    key,
+		stream: []int64{stream},
+		knobs:  func(c Config) string { return fmt.Sprintf("iters=%d pin=%v", iters(c), pinPair) },
+		measure: func(r *Runner, w *testbed.World) (*fixedCircuitData, error) {
 			rig, err := w.NewFixedCircuitRig()
 			if err != nil {
 				return nil, err
 			}
-			samples, err := r.fixedCircuitSamples(w, rig, iters, pinPair)
-			if err != nil {
-				return nil, err
+			fc := &fixedCircuitData{Methods: rig.Methods(), Samples: map[string][]float64{}}
+			sites := r.sites(w, 5) // the paper samples five representative sites
+			for it := 0; it < iters(r.cfg); it++ {
+				var m, e *tor.Descriptor
+				if pinPair {
+					m, e = rig.PickPair(it)
+				}
+				clients, err := rig.Clients(m, e)
+				if err != nil {
+					return nil, err
+				}
+				for _, method := range fc.Methods {
+					cl := clients[method]
+					if err := cl.Preheat(); err != nil {
+						return nil, fmt.Errorf("%s preheat: %w", method, err)
+					}
+					c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
+					for _, site := range sites {
+						res := c.Get(w.Origin.Addr(), site, false)
+						fc.Samples[method] = append(fc.Samples[method], seconds(res.Total))
+					}
+					cl.Close()
+				}
 			}
-			return &fixedCircuitData{Methods: rig.Methods(), Samples: samples}, nil
-		})
-}
-
-func (r *Runner) fig3Task() *sim.Future[any] {
-	iters := r.cfg.Repeats * 3
-	if iters < 4 {
-		iters = 4
+			return fc, nil
+		},
 	}
-	return r.fixedCircuitTask("fig3", streamFig3, iters, true)
 }
 
 // runFig3 prints the fixed-circuit boxes (3a) and the ECDF of per-site
 // absolute differences (3b).
 func (r *Runner) runFig3() error {
-	v, err := r.fig3Task().Wait()
+	fc, err := fig3Cell.wait(r)
 	if err != nil {
 		return err
 	}
-	fc := v.(*fixedCircuitData)
 	samples := fc.Samples
 	var rows []boxRow
 	for _, m := range fc.Methods {
@@ -260,21 +237,13 @@ func (r *Runner) runFig3() error {
 	return nil
 }
 
-func (r *Runner) fig4Task() *sim.Future[any] {
-	iters := r.cfg.Repeats * 2
-	if iters < 3 {
-		iters = 3
-	}
-	return r.fixedCircuitTask("fig4", streamFig4, iters, false)
-}
-
 // runFig4 prints the fixed-guard / variable middle+exit comparison.
 func (r *Runner) runFig4() error {
-	v, err := r.fig4Task().Wait()
+	fc, err := fig4Cell.wait(r)
 	if err != nil {
 		return err
 	}
-	samples := v.(*fixedCircuitData).Samples
+	samples := fc.Samples
 	var rows []boxRow
 	for _, m := range []string{"tor", "obfs4"} {
 		rows = append(rows, boxRow{m, stats.Summarize(samples[m])})
@@ -286,7 +255,7 @@ func (r *Runner) runFig4() error {
 // runFig5 prints mean download time per file size, excluding methods
 // that completed a size fewer than two times (as the paper does).
 func (r *Runner) runFig5() error {
-	data, err := r.filesData()
+	data, err := filesCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -328,7 +297,7 @@ func (r *Runner) runFig5() error {
 
 // runFig6 prints the TTFB ECDF.
 func (r *Runner) runFig6() error {
-	data, err := r.curlData()
+	data, err := curlCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -355,7 +324,7 @@ func fig7Grid() *grid {
 		boxes:       [2]string{"Website access time by client location (s)"},
 	}
 	for i, loc := range fig7Locations {
-		g.levels = append(g.levels, gridLevel{key: loc.Short(), label: loc.Short(), i: i})
+		g.add(gridLevel{key: loc.Short(), label: loc.Short(), i: i})
 	}
 	return g
 }
@@ -366,7 +335,7 @@ var fig7Locations = []geo.Location{geo.Bangalore, geo.London, geo.Toronto}
 // runFig8 prints reliability: the complete/partial/failed split (8a)
 // and the downloaded-fraction ECDF for the three unreliable PTs (8b).
 func (r *Runner) runFig8() error {
-	data, err := r.filesData()
+	data, err := filesCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -398,43 +367,43 @@ func (r *Runner) runFig8() error {
 	return nil
 }
 
-// fig9Task submits the pinned-circuit overhead world: per-transport
-// time difference over an identical circuit.
-func (r *Runner) fig9Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig9", r.worldOptions(streamFig9), spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			sites := r.sites(w)
-			if len(sites) > r.cfg.Sites {
-				sites = sites[:r.cfg.Sites]
+// sitesKnob is the cache spec of the cells whose measurement reads only
+// the site count.
+func sitesKnob(c Config) string { return fmt.Sprintf("sites=%d", c.Sites) }
+
+// fig9Cell is the pinned-circuit overhead world: per-transport time
+// difference over an identical circuit.
+var fig9Cell = &cell[map[string][]float64]{
+	key:    "fig9",
+	stream: []int64{streamFig9},
+	knobs:  sitesKnob,
+	measure: func(r *Runner, w *testbed.World) (map[string][]float64, error) {
+		sites := r.sites(w, r.cfg.Sites)
+		return forEachMethod(r, w, testbed.OverheadPTs, methodsInFlight, func(name string) ([]float64, error) {
+			rig, err := w.NewOverheadRig(name, int64(len(name))*13)
+			if err != nil {
+				return nil, err
 			}
-			return forEachMethod(r, w, testbed.OverheadPTs, methodsInFlight, func(name string) ([]float64, error) {
-				rig, err := w.NewOverheadRig(name, int64(len(name))*13)
-				if err != nil {
-					return nil, err
-				}
-				var diffs []float64
-				for _, site := range sites {
-					torC := &fetch.Client{Net: w.Net, Dial: rig.TorDial, Timeout: pageTimeout}
-					ptC := &fetch.Client{Net: w.Net, Dial: rig.PTDial, Timeout: pageTimeout}
-					tTor := torC.Get(w.Origin.Addr(), site.path, false)
-					tPT := ptC.Get(w.Origin.Addr(), site.path, false)
-					diffs = append(diffs, seconds(tPT.Total)-seconds(tTor.Total))
-				}
-				return diffs, nil
-			})
+			var diffs []float64
+			for _, site := range sites {
+				torC := &fetch.Client{Net: w.Net, Dial: rig.TorDial, Timeout: pageTimeout}
+				ptC := &fetch.Client{Net: w.Net, Dial: rig.PTDial, Timeout: pageTimeout}
+				tTor := torC.Get(w.Origin.Addr(), site, false)
+				tPT := ptC.Get(w.Origin.Addr(), site, false)
+				diffs = append(diffs, seconds(tPT.Total)-seconds(tTor.Total))
+			}
+			return diffs, nil
 		})
+	},
 }
 
 // runFig9 prints per-transport overhead over an identical pinned
 // circuit: positive means the PT added time over vanilla Tor.
 func (r *Runner) runFig9() error {
-	v, err := r.fig9Task().Wait()
+	samples, err := fig9Cell.wait(r)
 	if err != nil {
 		return err
 	}
-	samples := v.(map[string][]float64)
 	var rows []boxRow
 	for _, name := range testbed.OverheadPTs {
 		rows = append(rows, boxRow{name, stats.Summarize(samples[name])})
@@ -463,13 +432,10 @@ func (r *Runner) snowflakeAccess(w *testbed.World, nSites int) ([]float64, error
 		return nil, err
 	}
 	c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-	sites := r.sites(w)
-	if len(sites) > nSites {
-		sites = sites[:nSites]
-	}
+	sites := r.sites(w, nSites)
 	var xs []float64
 	for _, site := range sites {
-		res := c.Get(w.Origin.Addr(), site.path, false)
+		res := c.Get(w.Origin.Addr(), site, false)
 		xs = append(xs, seconds(res.Total))
 	}
 	return xs, nil
@@ -480,18 +446,16 @@ func (r *Runner) snowflakeAccess(w *testbed.World, nSites int) ([]float64, error
 // on the virtual clock; figures 10 and 12 step the same table).
 var surgePhases = censor.SurgePhases
 
-// manualLoadOptions is worldOptions for the figures that step load
-// phases by hand (10 and 12): a scenario that carries its own phase
-// timeline is dropped there, because the armed timers would override
-// the manual SetLoad stepping mid-measurement.
-func (r *Runner) manualLoadOptions(stream int64) testbed.Options {
-	opts := r.worldOptions(stream)
-	if opts.Scenario != "" {
-		if sc, err := censor.Lookup(opts.Scenario); err == nil && len(sc.Phases) > 0 {
-			opts.Scenario = ""
+// manualLoad is the options tweak of the figures that step load phases
+// by hand (10 and 12): a scenario that carries its own phase timeline
+// is dropped there, because the armed timers would override the manual
+// SetLoad stepping mid-measurement.
+func manualLoad(o *testbed.Options) {
+	if o.Scenario != "" {
+		if sc, err := censor.Lookup(o.Scenario); err == nil && len(sc.Phases) > 0 {
+			o.Scenario = ""
 		}
 	}
-	return opts
 }
 
 // surgeAccess is the fig10 world-task result.
@@ -499,29 +463,30 @@ type surgeAccess struct {
 	Pre, Post []float64
 }
 
-// fig10Task submits the §5.3 surge world: snowflake access before and
-// after the September load step.
-func (r *Runner) fig10Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig10", r.manualLoadOptions(streamFig10), spec,
-		jsonValue[*surgeAccess](),
-		func(w *testbed.World) (any, error) {
-			d, err := w.Deployment("snowflake")
-			if err != nil {
-				return nil, err
-			}
-			d.Snowflake().SetLoad(surgePhases[0].Util, surgePhases[0].Lifetime)
-			pre, err := r.snowflakeAccess(w, r.cfg.Sites)
-			if err != nil {
-				return nil, err
-			}
-			d.Snowflake().SetLoad(surgePhases[1].Util, surgePhases[1].Lifetime)
-			post, err := r.snowflakeAccess(w, r.cfg.Sites)
-			if err != nil {
-				return nil, err
-			}
-			return &surgeAccess{Pre: pre, Post: post}, nil
-		})
+// fig10Cell is the §5.3 surge world: snowflake access before and after
+// the September load step.
+var fig10Cell = &cell[*surgeAccess]{
+	key:    "fig10",
+	stream: []int64{streamFig10},
+	tweak:  manualLoad,
+	knobs:  sitesKnob,
+	measure: func(r *Runner, w *testbed.World) (*surgeAccess, error) {
+		d, err := w.Deployment("snowflake")
+		if err != nil {
+			return nil, err
+		}
+		d.Snowflake().SetLoad(surgePhases[0].Util, surgePhases[0].Lifetime)
+		pre, err := r.snowflakeAccess(w, r.cfg.Sites)
+		if err != nil {
+			return nil, err
+		}
+		d.Snowflake().SetLoad(surgePhases[1].Util, surgePhases[1].Lifetime)
+		post, err := r.snowflakeAccess(w, r.cfg.Sites)
+		if err != nil {
+			return nil, err
+		}
+		return &surgeAccess{Pre: pre, Post: post}, nil
+	},
 }
 
 // runFig10 prints the snowflake user-count timeline (10a, from the load
@@ -537,11 +502,10 @@ func (r *Runner) runFig10() error {
 	t.write(r.out)
 	fmt.Fprintln(r.out)
 
-	v, err := r.fig10Task().Wait()
+	surge, err := fig10Cell.wait(r)
 	if err != nil {
 		return err
 	}
-	surge := v.(*surgeAccess)
 	rows := []boxRow{
 		{"pre-September", stats.Summarize(surge.Pre)},
 		{"post-September", stats.Summarize(surge.Post)},
@@ -556,7 +520,7 @@ func (r *Runner) runFig10() error {
 
 // runFig11 prints the browsertime speed-index boxes.
 func (r *Runner) runFig11() error {
-	data, err := r.seleniumData()
+	data, err := seleniumCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -571,45 +535,43 @@ type labeledSamples struct {
 	Xs    []float64
 }
 
-// fig12Task submits the monthly-monitoring world: the surge phases
-// stepped in sequence on one snowflake deployment.
-func (r *Runner) fig12Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig12", r.manualLoadOptions(streamFig12), spec,
-		jsonValue[[]labeledSamples](),
-		func(w *testbed.World) (any, error) {
-			d, err := w.Deployment("snowflake")
+// fig12Cell is the monthly-monitoring world: the surge phases stepped
+// in sequence on one snowflake deployment.
+var fig12Cell = &cell[[]labeledSamples]{
+	key:    "fig12",
+	stream: []int64{streamFig12},
+	tweak:  manualLoad,
+	knobs:  sitesKnob,
+	measure: func(r *Runner, w *testbed.World) ([]labeledSamples, error) {
+		d, err := w.Deployment("snowflake")
+		if err != nil {
+			return nil, err
+		}
+		n := max(r.cfg.Sites/2, 4)
+		var series []labeledSamples
+		for _, lv := range surgePhases {
+			if lv.Label == "post-Sept-2022" {
+				continue // fig12 shows pre + the monthly series
+			}
+			d.Snowflake().SetLoad(lv.Util, lv.Lifetime)
+			xs, err := r.snowflakeAccess(w, n)
 			if err != nil {
 				return nil, err
 			}
-			n := r.cfg.Sites / 2
-			if n < 4 {
-				n = 4
-			}
-			var series []labeledSamples
-			for _, lv := range surgePhases {
-				if lv.Label == "post-Sept-2022" {
-					continue // fig12 shows pre + the monthly series
-				}
-				d.Snowflake().SetLoad(lv.Util, lv.Lifetime)
-				xs, err := r.snowflakeAccess(w, n)
-				if err != nil {
-					return nil, err
-				}
-				series = append(series, labeledSamples{Label: lv.Label, Xs: xs})
-			}
-			return series, nil
-		})
+			series = append(series, labeledSamples{Label: lv.Label, Xs: xs})
+		}
+		return series, nil
+	},
 }
 
 // runFig12 prints the post-September monthly monitoring boxes.
 func (r *Runner) runFig12() error {
-	v, err := r.fig12Task().Wait()
+	series, err := fig12Cell.wait(r)
 	if err != nil {
 		return err
 	}
 	var rows []boxRow
-	for _, s := range v.([]labeledSamples) {
+	for _, s := range series {
 		rows = append(rows, boxRow{s.Label, stats.Summarize(s.Xs)})
 	}
 	r.writeBoxes("Snowflake monthly website access time (s)", rows)
@@ -618,7 +580,7 @@ func (r *Runner) runFig12() error {
 
 // runTables34 prints the curl paired t-test table.
 func (r *Runner) runTables34() error {
-	data, err := r.curlData()
+	data, err := curlCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -629,7 +591,7 @@ func (r *Runner) runTables34() error {
 
 // runTables56 prints the selenium paired t-test table.
 func (r *Runner) runTables56() error {
-	data, err := r.seleniumData()
+	data, err := seleniumCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -641,7 +603,7 @@ func (r *Runner) runTables56() error {
 // runTable7 prints the file-download paired t-test table, pairing
 // attempts by (size, attempt index).
 func (r *Runner) runTable7() error {
-	data, err := r.filesData()
+	data, err := filesCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -661,7 +623,7 @@ func (r *Runner) runTable7() error {
 
 // runTables89 prints the speed-index paired t-test table.
 func (r *Runner) runTables89() error {
-	data, err := r.seleniumData()
+	data, err := seleniumCell.wait(r)
 	if err != nil {
 		return err
 	}
@@ -672,7 +634,7 @@ func (r *Runner) runTables89() error {
 
 // runTable10 prints the category-pair t-tests over the curl data.
 func (r *Runner) runTable10() error {
-	data, err := r.curlData()
+	data, err := curlCell.wait(r)
 	if err != nil {
 		return err
 	}

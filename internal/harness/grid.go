@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ptperf/internal/sim"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 )
@@ -14,11 +13,11 @@ import (
 // cells, guard contention, relay churn, the access medium (§4.7) and the
 // client location (Figure 7). An entry declares its axis, methods,
 // per-cell world options, a measure func, and the report's titles and
-// counter columns. The engine owns the rest: one world task per axis
-// value through worldTask, with a cache spec it derives itself;
-// prefetch; the join in canonical axis order; the method@level box
-// tables; the counter tables; and paired t-tests against the baseline,
-// which is always the first axis value.
+// counter columns. The engine owns the rest: one cell (cell.go) per
+// axis value, with a cache spec it derives itself; the join in
+// canonical axis order; the method@level box tables; the counter
+// tables; and paired t-tests against the baseline, which is always the
+// first axis value.
 
 // gridLevel is one axis value, i.e. one cell of the grid.
 type gridLevel struct {
@@ -55,7 +54,8 @@ type grid struct {
 	// each level.
 	seedByLevel bool
 	levels      []gridLevel
-	methods     []string // nil: the configured transports
+	cells       []*cell[*gridCell] // one per level, built by add
+	methods     []string           // nil: the configured transports
 	// knobs names what measure reads besides the world options, the
 	// methods and the level; it completes the cells' cache spec.
 	knobs   func(Config) string
@@ -77,16 +77,32 @@ type grid struct {
 	note                   string // closing text, written verbatim
 }
 
-// cellOptions builds one cell's world options on the grid's seed stream.
-func (g *grid) cellOptions(r *Runner, lv gridLevel) testbed.Options {
-	opts := r.worldOptions(g.stream)
+// add appends one axis value and its cell. The cell's spec names every
+// input the measurement reads beyond the world options: the methods,
+// the bound level, and the entry's declared knobs.
+func (g *grid) add(lv gridLevel) {
+	c := &cell[*gridCell]{
+		key:    g.prefix + ":" + lv.key,
+		stream: []int64{g.stream},
+		knobs: func(cfg Config) string {
+			spec := fmt.Sprintf("methods=%v level=%s", g.methodsFor(cfg), lv.key)
+			if g.knobs != nil {
+				spec += " " + g.knobs(cfg)
+			}
+			return spec
+		},
+		measure: func(r *Runner, w *testbed.World) (*gridCell, error) {
+			return g.measure(r, w, g.methodsFor(r.cfg), lv)
+		},
+	}
 	if g.seedByLevel {
-		opts = r.worldOptions(g.stream, int64(lv.i))
+		c.stream = append(c.stream, int64(lv.i))
 	}
 	if g.options != nil {
-		g.options(&opts, lv)
+		c.tweak = func(o *testbed.Options) { g.options(o, lv) }
 	}
-	return opts
+	g.levels = append(g.levels, lv)
+	g.cells = append(g.cells, c)
 }
 
 func (g *grid) methodsFor(c Config) []string {
@@ -96,39 +112,18 @@ func (g *grid) methodsFor(c Config) []string {
 	return g.methods
 }
 
-// task submits (once) one cell. Its cache spec names every input the
-// measurement reads beyond the world options: the methods, the bound
-// level, and the entry's declared knobs.
-func (g *grid) task(r *Runner, lv gridLevel) *sim.Future[any] {
-	methods := g.methodsFor(r.cfg)
-	spec := []string{fmt.Sprintf("methods=%v", methods), "level=" + lv.key}
-	if g.knobs != nil {
-		spec = append(spec, g.knobs(r.cfg))
-	}
-	return r.worldTask(g.prefix+":"+lv.key, g.cellOptions(r, lv), r.cellSpec(spec...),
-		jsonValue[*gridCell](),
-		func(w *testbed.World) (any, error) { return g.measure(r, w, methods, lv) })
-}
-
-func (g *grid) prefetch(r *Runner) {
-	for _, lv := range g.levels {
-		g.task(r, lv)
-	}
-}
-
 // run joins every cell in axis order and renders the report.
 func (g *grid) run(r *Runner) error {
 	methods := orderedMethods(g.methodsFor(r.cfg))
-	g.prefetch(r)
-	cells := make([]*gridCell, len(g.levels))
+	cells := make([]*gridCell, len(g.cells))
 	axis := 0
-	for i, lv := range g.levels {
-		v, err := g.task(r, lv).Wait()
+	for i, c := range g.cells {
+		v, err := c.wait(r)
 		if err != nil {
-			return fmt.Errorf("%s:%s: %w", g.prefix, lv.key, err)
+			return fmt.Errorf("%s: %w", c.key, err)
 		}
-		cells[i] = v.(*gridCell)
-		if !lv.extra {
+		cells[i] = v
+		if !g.levels[i].extra {
 			axis++
 		}
 	}

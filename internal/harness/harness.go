@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -148,9 +149,6 @@ func New(cfg Config, out io.Writer) *Runner {
 	return r
 }
 
-// Config returns the effective (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // task submits (once) the keyed world task fn on the shard executor and
 // returns its future; later calls with the same key return the same
 // future. This is the Runner's memoization: experiments submit every
@@ -188,101 +186,96 @@ type Experiment struct {
 	// contention and relay churn) go beyond the paper's artifacts and
 	// are excluded from "all".
 	Optional bool
-	// prefetch submits the experiment's world tasks without waiting,
-	// so "all" overlaps every experiment's simulation work across the
-	// executor while still rendering in paper order.
-	prefetch func(*Runner)
-	run      func(*Runner) error
+	// cells lists the world tasks run reads. Run submits them before
+	// rendering, and "all" submits every paper experiment's cells up
+	// front, so the executor overlaps all simulation work while reports
+	// still render in paper order.
+	cells []worldCell
+	run   func(*Runner) error
 }
 
-// Experiments lists every reproducible artifact in paper order, then
-// the censor-scenario experiments.
-func Experiments() []Experiment {
+// registry is the experiment table, built once: paper order, then the
+// censor-scenario experiments, the sweep, contention and churn.
+var registry = sync.OnceValue(func() []Experiment {
 	exps := []Experiment{
 		{ID: "table1", Artifact: "Table 1", Title: "measurement campaign overview", run: (*Runner).runTable1},
 		{ID: "table2", Artifact: "Table 2", Title: "28 candidate transports at a glance", run: (*Runner).runTable2},
-		{ID: "fig2a", Artifact: "Figure 2a", Title: "website access time, curl", prefetch: prefetchCurl, run: (*Runner).runFig2a},
-		{ID: "fig2b", Artifact: "Figure 2b", Title: "website access time, selenium", prefetch: prefetchSelenium, run: (*Runner).runFig2b},
-		{ID: "fig3", Artifact: "Figure 3a/3b", Title: "fixed-circuit comparison and ECDF", prefetch: func(r *Runner) { r.fig3Task() }, run: (*Runner).runFig3},
-		{ID: "fig4", Artifact: "Figure 4", Title: "fixed guard, variable middle/exit", prefetch: func(r *Runner) { r.fig4Task() }, run: (*Runner).runFig4},
-		{ID: "fig5", Artifact: "Figure 5", Title: "file download time by size", prefetch: prefetchFiles, run: (*Runner).runFig5},
-		{ID: "fig6", Artifact: "Figure 6", Title: "time to first byte ECDF", prefetch: prefetchCurl, run: (*Runner).runFig6},
+		{ID: "fig2a", Artifact: "Figure 2a", Title: "website access time, curl", cells: []worldCell{curlCell}, run: (*Runner).runFig2a},
+		{ID: "fig2b", Artifact: "Figure 2b", Title: "website access time, selenium", cells: []worldCell{seleniumCell}, run: (*Runner).runFig2b},
+		{ID: "fig3", Artifact: "Figure 3a/3b", Title: "fixed-circuit comparison and ECDF", cells: []worldCell{fig3Cell}, run: (*Runner).runFig3},
+		{ID: "fig4", Artifact: "Figure 4", Title: "fixed guard, variable middle/exit", cells: []worldCell{fig4Cell}, run: (*Runner).runFig4},
+		{ID: "fig5", Artifact: "Figure 5", Title: "file download time by size", cells: []worldCell{filesCell}, run: (*Runner).runFig5},
+		{ID: "fig6", Artifact: "Figure 6", Title: "time to first byte ECDF", cells: []worldCell{curlCell}, run: (*Runner).runFig6},
 		gridExperiment(fig7Grid(), "fig7", "Figure 7", "client-location variation", false),
-		{ID: "fig8", Artifact: "Figure 8a/8b", Title: "download reliability", prefetch: prefetchFiles, run: (*Runner).runFig8},
-		{ID: "fig9", Artifact: "Figure 9", Title: "PT overhead vs vanilla Tor", prefetch: func(r *Runner) { r.fig9Task() }, run: (*Runner).runFig9},
-		{ID: "fig10", Artifact: "Figure 10a/10b", Title: "snowflake under load", prefetch: func(r *Runner) { r.fig10Task() }, run: (*Runner).runFig10},
-		{ID: "fig11", Artifact: "Figure 11", Title: "speed index", prefetch: prefetchSelenium, run: (*Runner).runFig11},
-		{ID: "fig12", Artifact: "Figure 12", Title: "snowflake post-September months", prefetch: func(r *Runner) { r.fig12Task() }, run: (*Runner).runFig12},
+		{ID: "fig8", Artifact: "Figure 8a/8b", Title: "download reliability", cells: []worldCell{filesCell}, run: (*Runner).runFig8},
+		{ID: "fig9", Artifact: "Figure 9", Title: "PT overhead vs vanilla Tor", cells: []worldCell{fig9Cell}, run: (*Runner).runFig9},
+		{ID: "fig10", Artifact: "Figure 10a/10b", Title: "snowflake under load", cells: []worldCell{fig10Cell}, run: (*Runner).runFig10},
+		{ID: "fig11", Artifact: "Figure 11", Title: "speed index", cells: []worldCell{seleniumCell}, run: (*Runner).runFig11},
+		{ID: "fig12", Artifact: "Figure 12", Title: "snowflake post-September months", cells: []worldCell{fig12Cell}, run: (*Runner).runFig12},
 		gridExperiment(mediumGrid(), "medium", "Section 4.7", "wired vs wireless access medium", false),
-		{ID: "table3", Artifact: "Tables 3–4", Title: "paired t-tests, curl access", prefetch: prefetchCurl, run: (*Runner).runTables34},
-		{ID: "table5", Artifact: "Tables 5–6", Title: "paired t-tests, selenium access", prefetch: prefetchSelenium, run: (*Runner).runTables56},
-		{ID: "table7", Artifact: "Table 7", Title: "paired t-tests, file download", prefetch: prefetchFiles, run: (*Runner).runTable7},
-		{ID: "table8", Artifact: "Tables 8–9", Title: "paired t-tests, speed index", prefetch: prefetchSelenium, run: (*Runner).runTables89},
-		{ID: "table10", Artifact: "Table 10", Title: "paired t-tests, PT categories", prefetch: prefetchCurl, run: (*Runner).runTable10},
+		{ID: "table3", Artifact: "Tables 3–4", Title: "paired t-tests, curl access", cells: []worldCell{curlCell}, run: (*Runner).runTables34},
+		{ID: "table5", Artifact: "Tables 5–6", Title: "paired t-tests, selenium access", cells: []worldCell{seleniumCell}, run: (*Runner).runTables56},
+		{ID: "table7", Artifact: "Table 7", Title: "paired t-tests, file download", cells: []worldCell{filesCell}, run: (*Runner).runTable7},
+		{ID: "table8", Artifact: "Tables 8–9", Title: "paired t-tests, speed index", cells: []worldCell{seleniumCell}, run: (*Runner).runTables89},
+		{ID: "table10", Artifact: "Table 10", Title: "paired t-tests, PT categories", cells: []worldCell{curlCell}, run: (*Runner).runTable10},
 	}
+	// Each scenario:<name> experiment renders one cell of the sweep,
+	// so the two share that cell's declaration and result.
+	sweep := sweepGrid()
 	for _, name := range censor.Names() {
 		sc, _ := censor.Lookup(name)
-		exps = append(exps, gridExperiment(scenarioGrid(name), "scenario:"+name, "Censor layer", sc.Description, true))
+		exps = append(exps, gridExperiment(sweep.section(name), "scenario:"+name, "Censor layer", sc.Description, true))
 	}
 	return append(exps,
-		gridExperiment(sweepGrid(), "sweep", "Censor layer",
+		gridExperiment(sweep, "sweep", "Censor layer",
 			"scenario sweep: {transports} × {scenarios} vs the clean baseline", true),
 		gridExperiment(contentionGrid(), "contention", "Relay scheduler",
 			"guard-contention sweep: {tor,obfs4,webtunnel} × {competitor load} + FIFO baseline", true),
 		gridExperiment(churnGrid(), "churn", "Failure & recovery",
 			"churn-resilience sweep: {tor,obfs4,webtunnel,snowflake} × {relay churn rate} vs the fault-free baseline", true),
 	)
-}
+})
+
+// Experiments lists every reproducible artifact in paper order, then
+// the censor-scenario experiments. The slice is the caller's copy.
+func Experiments() []Experiment { return slices.Clone(registry()) }
 
 // gridExperiment registers a grid entry as an experiment.
 func gridExperiment(g *grid, id, artifact, title string, optional bool) Experiment {
-	return Experiment{ID: id, Artifact: artifact, Title: title, Optional: optional, prefetch: g.prefetch, run: g.run}
+	e := Experiment{ID: id, Artifact: artifact, Title: title, Optional: optional, run: g.run}
+	for _, c := range g.cells {
+		e.cells = append(e.cells, c)
+	}
+	return e
 }
-
-func prefetchCurl(r *Runner)     { r.curlTask() }
-func prefetchSelenium(r *Runner) { r.seleniumTask() }
-func prefetchFiles(r *Runner)    { r.filesTask() }
 
 // Run executes one experiment by ID ("all" runs every paper artifact;
 // the optional experiments — censor scenarios, sweep, contention and
 // churn — run by explicit ID).
 func (r *Runner) Run(id string) error {
+	exps := registry()
 	if id == "all" {
-		exps := Experiments()
 		// Submit every experiment's world tasks before rendering any:
 		// the executor keeps all cores busy while the reports are
 		// still written strictly in paper order.
 		for _, e := range exps {
-			if !e.Optional && e.prefetch != nil {
-				e.prefetch(r)
+			if !e.Optional {
+				r.submit(e)
 			}
 		}
 		for _, e := range exps {
 			if e.Optional {
 				continue
 			}
-			if err := r.Run(e.ID); err != nil {
+			if err := r.render(e); err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
 		}
 		return nil
 	}
-	exps := Experiments()
 	for _, e := range exps {
 		if e.ID == id {
-			// Tee the experiment's report into a section buffer so the
-			// HTML artifact can embed it. Rendering is single-threaded
-			// (tasks never write r.out), so swapping the writer is safe.
-			var buf bytes.Buffer
-			orig := r.out
-			r.out = io.MultiWriter(orig, &buf)
-			fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
-			err := e.run(r)
-			r.out = orig
-			r.omu.Lock()
-			r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: buf.String()})
-			r.omu.Unlock()
-			return err
+			return r.render(e)
 		}
 	}
 	ids := make([]string, 0, len(exps))
@@ -292,55 +285,44 @@ func (r *Runner) Run(id string) error {
 	return fmt.Errorf("harness: unknown experiment %q (have all, %s)", id, strings.Join(ids, ", "))
 }
 
-// Seed streams. Every world task derives its Options.Seed from
-// sim.DeriveSeed(cfg.Seed, stream): distinct streams are statistically
-// independent, equal streams rebuild identical worlds. The campaign
-// worlds (curl, selenium, files) share streamCampaign so the three
-// paper campaigns measure the same topology, and every sweep cell
-// shares streamScenario so the only difference between scenario
-// columns is the interference itself.
-const (
-	streamCampaign   = 0
-	streamFig3       = 1000
-	streamFig4       = 1100
-	streamFig7       = 1200 // path element 2: location index
-	streamFig9       = 2000
-	streamFig10      = 3000
-	streamFig12      = 3100
-	streamMedium     = 4000 // path element 2: medium index
-	streamScenario   = 5000
-	streamContention = 6000 // one seed for every contention cell
-	streamChurn      = 7000 // one seed for every churn cell
-)
-
-// worldOptions builds one world task's Options on the given seed
-// stream. Per-cell indices (fig7's location, medium's access medium)
-// go in as further path elements — never added into the stream id,
-// which would reintroduce the additive collisions DeriveSeed removes.
-func (r *Runner) worldOptions(stream ...int64) testbed.Options {
-	return testbed.Options{
-		Seed:      sim.DeriveSeed(r.cfg.Seed, stream...),
-		ByteScale: r.cfg.ByteScale,
-		TrancoN:   r.cfg.Sites,
-		CBLN:      r.cfg.Sites,
-		Scenario:  r.cfg.Scenario,
+// submit submits the experiment's cells without waiting.
+func (r *Runner) submit(e Experiment) {
+	for _, c := range e.cells {
+		c.submit(r)
 	}
 }
 
-// sites returns the measured site set: the first Sites entries of each
-// catalog, Tranco first (order is what aligns paired samples).
-type siteRef struct {
-	list web.List
-	path string
+// render runs one experiment and writes its report.
+func (r *Runner) render(e Experiment) error {
+	r.submit(e)
+	// Tee the experiment's report into a section buffer so the HTML
+	// artifact can embed it. Rendering is single-threaded (tasks never
+	// write r.out), so swapping the writer is safe.
+	var buf bytes.Buffer
+	orig := r.out
+	r.out = io.MultiWriter(orig, &buf)
+	fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
+	err := e.run(r)
+	r.out = orig
+	r.omu.Lock()
+	r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: buf.String()})
+	r.omu.Unlock()
+	return err
 }
 
-func (r *Runner) sites(w *testbed.World) []siteRef {
-	var out []siteRef
+// sites returns the paths of the first n measured sites: the first
+// Sites entries of each catalog, Tranco first (order is what aligns
+// paired samples).
+func (r *Runner) sites(w *testbed.World, n int) []string {
+	var out []string
 	for i := 0; i < r.cfg.Sites && i < len(w.Tranco.Sites); i++ {
-		out = append(out, siteRef{web.Tranco, w.Tranco.Sites[i].Path})
+		out = append(out, w.Tranco.Sites[i].Path)
 	}
 	for i := 0; i < r.cfg.Sites && i < len(w.CBL.Sites); i++ {
-		out = append(out, siteRef{web.CBL, w.CBL.Sites[i].Path})
+		out = append(out, w.CBL.Sites[i].Path)
+	}
+	if len(out) > n {
+		out = out[:n]
 	}
 	return out
 }

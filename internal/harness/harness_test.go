@@ -45,6 +45,26 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("missing experiment %s", want)
 		}
 	}
+	// Runner.task memoizes by cell key, so two declarations under one
+	// key would silently share whichever result was submitted first.
+	decl := map[string]worldCell{}
+	for _, e := range exps {
+		for _, c := range e.cells {
+			if prev, ok := decl[c.cellKey()]; ok && prev != c {
+				t.Errorf("%s: cell %q has a second declaration", e.ID, c.cellKey())
+			}
+			decl[c.cellKey()] = c
+		}
+	}
+	if len(decl) != 13+8+5+3 {
+		t.Errorf("registry declares %d cells, want 29 (13 paper, 8 sweep, 5 contention, 3 churn)", len(decl))
+	}
+	// Experiments hands out a copy: editing it leaves the table intact.
+	exps[0].ID, exps[0].Optional = "mutated", true
+	exps[1] = Experiment{}
+	if again := Experiments(); again[0].ID != "table1" || again[0].Optional || again[1].ID != "table2" {
+		t.Fatalf("editing Experiments' result changed the registry: %+v", again[:2])
+	}
 }
 
 func TestUnknownExperiment(t *testing.T) {

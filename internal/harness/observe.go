@@ -29,21 +29,6 @@ import (
 // never in a spec: the first cannot change results (the determinism
 // contract) and the second only affects rendering.
 
-// decodeFunc decodes a cached cell value back into the concrete type
-// the render paths type-assert on.
-type decodeFunc func([]byte) (any, error)
-
-// jsonValue builds the decoder for a cell kind whose result is T.
-func jsonValue[T any]() decodeFunc {
-	return func(b []byte) (any, error) {
-		var v T
-		if err := json.Unmarshal(b, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
-
 // EnableCache attaches a content-addressed result cache rooted at dir
 // (created if needed). Call before submitting any task.
 func (r *Runner) EnableCache(dir string) error {
@@ -64,17 +49,13 @@ func (r *Runner) CacheStats() obs.CacheStats {
 	return r.cache.Stats()
 }
 
-// cellSpec renders the campaign-input spec of one cell kind: the
-// globally relevant knobs first, then the cell kind's own. Sequential
-// changes per-method concurrency. The sampling interval changes no
-// result, but it stays in the spec because a metrics-off entry stores
-// no timeline: a metrics-on run must not hit it.
-func (r *Runner) cellSpec(parts ...string) string {
-	base := []string{
-		fmt.Sprintf("metrics=%s", r.cfg.MetricsInterval),
-		fmt.Sprintf("sequential=%v", r.cfg.Sequential),
-	}
-	return strings.Join(append(base, parts...), " ")
+// cellSpec renders a cell's campaign-input spec: the globally relevant
+// knobs, then the cell's own. Sequential changes per-method
+// concurrency. The sampling interval changes no result, but it stays in
+// the spec because a metrics-off entry stores no timeline: a metrics-on
+// run must not hit it.
+func (r *Runner) cellSpec(knobs string) string {
+	return fmt.Sprintf("metrics=%s sequential=%v %s", r.cfg.MetricsInterval, r.cfg.Sequential, knobs)
 }
 
 // worldTask submits (once) the keyed world cell: consult the cache,
@@ -83,13 +64,14 @@ func (r *Runner) cellSpec(parts ...string) string {
 // timelines cover exactly the measured campaign. measure's result must
 // survive a JSON round trip unchanged (all cell types do) — that is
 // what makes a cache hit render byte-identically.
-func (r *Runner) worldTask(key string, opts testbed.Options, spec string, decode decodeFunc, measure func(*testbed.World) (any, error)) *sim.Future[any] {
+func worldTask[T any](r *Runner, key string, opts testbed.Options, spec string, measure func(*testbed.World) (T, error)) *sim.Future[any] {
 	return r.task(key, func() (any, error) {
 		var digest string
 		if r.cache != nil {
 			digest = obs.CellDigest(key, opts, spec)
 			if e, ok := r.cache.Load(digest); ok {
-				if v, err := decode(e.Value); err == nil {
+				var v T
+				if err := json.Unmarshal(e.Value, &v); err == nil {
 					r.monitor.Cached(key)
 					r.setTimeline(key, e.Timeline)
 					return v, nil

@@ -9,10 +9,9 @@ import (
 	"ptperf/internal/testbed"
 )
 
-// This file declares the censor-scenario grids: "scenario:<name>" runs
-// one named interference scenario across the configured transports,
-// and "sweep" crosses {transports} × {scenarios} with paired t-tests
-// against the clean baseline. Every scenario world is built from the
+// This file declares the censor-scenario grid: "sweep" crosses
+// {transports} × {scenarios} with paired t-tests against the clean
+// baseline, and "scenario:<name>" renders one of its cells alone. Every scenario world is built from the
 // same seed, so the only difference between cells is the interference
 // itself — which is what makes the paired comparisons meaningful.
 
@@ -34,14 +33,15 @@ func sweepScenarios() []string {
 	return append(order, extra...)
 }
 
-// scenarioGrid measures the configured transports under each named
-// scenario, one report section per scenario.
-func scenarioGrid(names ...string) *grid {
+// sweepGrid measures the configured transports under every scenario,
+// one report section per scenario, paired against the clean baseline.
+func sweepGrid() *grid {
 	g := &grid{
 		prefix:  "scenario",
 		stream:  streamScenario,
 		options: func(o *testbed.Options, lv gridLevel) { o.Scenario = lv.key },
 		measure: measureScenario,
+		intro:   "Scenario sweep: %d transports × %d scenarios (same world seed per scenario)",
 		perCell: true,
 		sep:     "@",
 		boxes: [2]string{fmt.Sprintf("Website access time under scenario %%q (s; failures count as the %gs timeout)",
@@ -50,26 +50,32 @@ func scenarioGrid(names ...string) *grid {
 		methodCols:  []string{"ok", "failed", "ok%"},
 		cellTitle:   "censor:",
 		cellCols:    []string{"blocked-dials", "flows-cut", "resets", "loss-events", "throttled-segments"},
+		pairs:       "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)",
 	}
-	for i, n := range names {
-		g.levels = append(g.levels, gridLevel{key: n, label: n, i: i})
+	for i, n := range sweepScenarios() {
+		g.add(gridLevel{key: n, label: n, i: i})
 	}
 	return g
 }
 
-// sweepGrid is every scenario, paired against the clean baseline.
-func sweepGrid() *grid {
-	g := scenarioGrid(sweepScenarios()...)
-	g.intro = "Scenario sweep: %d transports × %d scenarios (same world seed per scenario)"
-	g.pairs = "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)"
-	return g
+// section is the scenario:<name> experiment: the sweep's cell for one
+// scenario, rendered alone.
+func (g *grid) section(name string) *grid {
+	s := *g
+	s.intro, s.pairs = "", ""
+	for i, lv := range g.levels {
+		if lv.key == name {
+			s.levels, s.cells = g.levels[i:i+1:i+1], g.cells[i:i+1:i+1]
+		}
+	}
+	return &s
 }
 
 // measureScenario measures website access for every method under the
 // world's scenario: one Get per site, failures recorded as the page
 // timeout, plus the censor's interference counters.
 func measureScenario(r *Runner, w *testbed.World, methods []string, _ gridLevel) (*gridCell, error) {
-	sites := r.sites(w)
+	sites := r.sites(w, 2*r.cfg.Sites)
 	results, err := forEachMethod(r, w, methods, methodsInFlight, func(method string) (*gridSamples, error) {
 		d, err := w.Deployment(method)
 		if err != nil {
@@ -82,7 +88,7 @@ func measureScenario(r *Runner, w *testbed.World, methods []string, _ gridLevel)
 		s := &gridSamples{}
 		failed := 0
 		for _, site := range sites {
-			got := c.Get(w.Origin.Addr(), site.path, false)
+			got := c.Get(w.Origin.Addr(), site, false)
 			if got.Err != nil || !got.Complete() {
 				s.Times = append(s.Times, pageTimeout.Seconds())
 				failed++

@@ -79,12 +79,12 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 
 	// measure runs one scenario cell directly, bypassing the task cache.
 	measure := func(name string) (map[string]*gridSamples, censor.Stats, error) {
-		g := scenarioGrid(name)
-		w, err := testbed.New(g.cellOptions(r, g.levels[0]))
+		c := sweepGrid().section(name).cells[0]
+		w, err := testbed.New(c.options(r))
 		if err != nil {
 			return nil, censor.Stats{}, err
 		}
-		cell, err := g.measure(r, w, cfg.Transports, g.levels[0])
+		cell, err := c.measure(r, w)
 		if err != nil {
 			return nil, censor.Stats{}, err
 		}

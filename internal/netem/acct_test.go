@@ -268,7 +268,10 @@ func TestAcctSubConcurrentMonotone(t *testing.T) {
 		}()
 	}
 
-	prev := a.Snapshot()
+	// The writers are already running, so the first snapshot need not
+	// be zero: the interval sum rebuilds last − first, not last.
+	first := a.Snapshot()
+	prev := first
 	var total AcctSnapshot
 	for i := 0; i < 200; i++ {
 		cur := a.Snapshot()
@@ -283,8 +286,9 @@ func TestAcctSubConcurrentMonotone(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	// The interval sum reconstructs the last cumulative snapshot.
-	if total.BytesSent != prev.BytesSent || total.CellsQueued != prev.CellsQueued || total.Dials != prev.Dials {
-		t.Fatalf("interval sum %+v does not reconstruct final snapshot %+v", total, prev)
+	// The interval sum reconstructs the growth since the first snapshot.
+	grown, _ := prev.Sub(first)
+	if total.BytesSent != grown.BytesSent || total.CellsQueued != grown.CellsQueued || total.Dials != grown.Dials {
+		t.Fatalf("interval sum %+v does not reconstruct final − first snapshot %+v", total, grown)
 	}
 }

@@ -92,7 +92,7 @@ func TestWaitIsRepeatable(t *testing.T) {
 	}
 }
 
-// TestDeriveSeedStreams pins the properties worldOptions relies on:
+// TestDeriveSeedStreams pins the properties the harness cells rely on:
 // stability, sensitivity to root and path, and — unlike the retired
 // additive derivation — no collisions between neighbouring campaign
 // seeds and experiment streams.
