@@ -26,6 +26,26 @@ func TestFuzzSmoke(t *testing.T) {
 	}
 }
 
+// TestFuzzDigestPinned pins the digest of CI fuzz-smoke's exact run
+// (`ptperf fuzz -n 25 -seed 1`) across commits, as the golden reports
+// pin the campaigns. Its fault-heavy worlds are where idle PT sessions
+// get reaped, so a refactor of the servers that claims byte-identical
+// results is checked here too. A change that alters results on purpose
+// re-records the prefix (DESIGN.md "Golden reports").
+func TestFuzzDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-world test")
+	}
+	const want = "588d5e3faa257951"
+	res := Fuzz(Config{N: 25, Seed: 1})
+	if len(res.Failures) != 0 {
+		t.Fatalf("fuzz failures: %+v", res.Failures)
+	}
+	if !strings.HasPrefix(res.Digest, want) {
+		t.Fatalf("digest %s, want prefix %s", res.Digest, want)
+	}
+}
+
 // TestFuzzJobsEquivalence holds the fuzzer to the contract it enforces:
 // the run digest — a hash over every world's canonical report — must be
 // identical at any parallelism, and across repeated runs.

@@ -19,9 +19,10 @@ import (
 //
 // Roots (the event-callback entry points):
 //   - the callback argument of (netem.Clock).EventAt — including
-//     callbacks stored in struct fields first (p.sinkFn, s.flushFn):
-//     every function ever assigned to such a field in the package is
-//     treated as a root;
+//     callbacks stored first in struct fields (p.sinkFn, s.flushFn) or
+//     in variables (the self-re-arming `check = func() { …;
+//     c.EventAt(t, check) }`): every function ever assigned to such a
+//     field or variable in the package is treated as a root;
 //   - the sink argument of (netem.Conn).SetReadSink and the package-
 //     internal (netem.pipe).setSink — which covers the tor cell sinks
 //     (cellSink, clientCell, backwardSink) and the relay scheduler's
@@ -152,7 +153,7 @@ func runNoParkInEvent(pass *lint.Pass) error {
 	a := &noParkAnalysis{
 		pass:     pass,
 		decls:    map[*types.Func]*ast.FuncDecl{},
-		fieldFns: map[*types.Var][]ast.Expr{},
+		assigned: map[*types.Var][]ast.Expr{},
 		visited:  map[ast.Node]bool{},
 		reported: map[token.Pos]bool{},
 	}
@@ -167,14 +168,14 @@ func runNoParkInEvent(pass *lint.Pass) error {
 type noParkAnalysis struct {
 	pass     *lint.Pass
 	decls    map[*types.Func]*ast.FuncDecl
-	fieldFns map[*types.Var][]ast.Expr // func-typed field -> every RHS assigned to it
+	assigned map[*types.Var][]ast.Expr // func-typed field or variable -> every RHS assigned to it
 	visited  map[ast.Node]bool
 	reported map[token.Pos]bool
 }
 
 // index builds the package's function-declaration table and the
-// field-assignment table used to resolve callbacks stored in struct
-// fields (p.sinkFn = p.sinkEvent).
+// assignment table used to resolve callbacks stored in struct fields
+// (p.sinkFn = p.sinkEvent) or variables (check = func() { … }).
 func (a *noParkAnalysis) index() {
 	info := a.pass.TypesInfo
 	for _, f := range a.pass.Files {
@@ -189,14 +190,21 @@ func (a *noParkAnalysis) index() {
 					if i >= len(n.Rhs) {
 						break
 					}
-					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					if v, ok := info.Selections[sel]; ok {
-						if fv, ok := v.Obj().(*types.Var); ok && fv.IsField() && isFuncType(fv.Type()) {
-							a.fieldFns[fv] = append(a.fieldFns[fv], n.Rhs[i])
+					var obj types.Object
+					switch lhs := ast.Unparen(lhs).(type) {
+					case *ast.SelectorExpr:
+						if v, ok := info.Selections[lhs]; ok {
+							obj = v.Obj()
 						}
+					case *ast.Ident:
+						obj = info.ObjectOf(lhs)
+					}
+					a.record(obj, n.Rhs[i])
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i < len(n.Values) {
+						a.record(info.Defs[name], n.Values[i])
 					}
 				}
 			case *ast.CompositeLit:
@@ -209,13 +217,21 @@ func (a *noParkAnalysis) index() {
 					if !ok {
 						continue
 					}
-					if fv, ok := info.Uses[key].(*types.Var); ok && fv.IsField() && isFuncType(fv.Type()) {
-						a.fieldFns[fv] = append(a.fieldFns[fv], kv.Value)
+					if fv, ok := info.Uses[key].(*types.Var); ok && fv.IsField() {
+						a.record(fv, kv.Value)
 					}
 				}
 			}
 			return true
 		})
+	}
+}
+
+// record notes that rhs is assigned to obj when obj is a func-typed
+// field or variable.
+func (a *noParkAnalysis) record(obj types.Object, rhs ast.Expr) {
+	if v, ok := obj.(*types.Var); ok && isFuncType(v.Type()) {
+		a.assigned[v] = append(a.assigned[v], rhs)
 	}
 }
 
@@ -264,9 +280,10 @@ func (a *noParkAnalysis) collectRoots() []root {
 
 // resolveCallback maps a callback expression to the function nodes it
 // can denote: a literal, a function/method declared in this package, or
-// — for struct-field callbacks — everything ever assigned to the field.
+// — for callbacks held in a struct field or a variable — everything
+// ever assigned to it.
 func (a *noParkAnalysis) resolveCallback(e ast.Expr, depth int) []ast.Node {
-	if depth > 4 { // defensive bound on field -> field chains
+	if depth > 4 { // defensive bound on field/variable chains
 		return nil
 	}
 	info := a.pass.TypesInfo
@@ -274,10 +291,13 @@ func (a *noParkAnalysis) resolveCallback(e ast.Expr, depth int) []ast.Node {
 	case *ast.FuncLit:
 		return []ast.Node{e}
 	case *ast.Ident:
-		if f, ok := info.Uses[e].(*types.Func); ok {
-			if d := a.decls[f]; d != nil {
+		switch obj := info.Uses[e].(type) {
+		case *types.Func:
+			if d := a.decls[obj]; d != nil {
 				return []ast.Node{d}
 			}
+		case *types.Var: // func-typed variable: check
+			return a.resolveAssigned(obj, depth)
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[e]; ok {
@@ -288,11 +308,7 @@ func (a *noParkAnalysis) resolveCallback(e ast.Expr, depth int) []ast.Node {
 				}
 			case *types.Var: // func-typed field: p.sinkFn
 				if obj.IsField() {
-					var out []ast.Node
-					for _, rhs := range a.fieldFns[obj] {
-						out = append(out, a.resolveCallback(rhs, depth+1)...)
-					}
-					return out
+					return a.resolveAssigned(obj, depth)
 				}
 			}
 		} else if f, ok := info.Uses[e.Sel].(*types.Func); ok { // pkg.Fn
@@ -302,6 +318,16 @@ func (a *noParkAnalysis) resolveCallback(e ast.Expr, depth int) []ast.Node {
 		}
 	}
 	return nil
+}
+
+// resolveAssigned resolves every function assigned to a func-typed
+// field or variable.
+func (a *noParkAnalysis) resolveAssigned(v *types.Var, depth int) []ast.Node {
+	var out []ast.Node
+	for _, rhs := range a.assigned[v] {
+		out = append(out, a.resolveCallback(rhs, depth+1)...)
+	}
+	return out
 }
 
 // walkContext traverses one function node in event-callback context,

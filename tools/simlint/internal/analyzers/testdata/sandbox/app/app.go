@@ -57,6 +57,17 @@ func (p *proc) onEvent() {
 	io.Copy(io.Discard, p.conn) // want `io\.Copy loops over parking Read/Write`
 }
 
+// badLocal re-arms a callback held in a local variable; the analyzer
+// resolves the variable through its assignments.
+func badLocal(c *netem.Clock) {
+	var check func()
+	check = func() {
+		c.Sleep(1) // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*Clock\.EventAt arm`
+		c.EventAt(1, check)
+	}
+	c.EventAt(0, check)
+}
+
 // good stays on the non-parking surface; the Clock.Go body is a
 // registered goroutine and may park.
 func good(p *proc) {
