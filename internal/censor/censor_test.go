@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -146,17 +147,9 @@ func TestBlockWindowRefusesAndCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	n.Go(func() {
-		for {
-			cn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			n.Go(func() {
-				io.Copy(io.Discard, cn)
-				cn.Close()
-			})
-		}
+	ln.Serve(func(cn net.Conn) {
+		io.Copy(io.Discard, cn)
+		cn.Close()
 	})
 
 	// Before the window: dialing works and the flow stays up.

@@ -1,6 +1,7 @@
 package censor
 
 import (
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,15 +163,7 @@ func TestRandomScenarioWindowsOnVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Go(func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	})
+	l.Serve(func(c net.Conn) { c.Close() })
 	censor := Attach(n, sc, 1, 1)
 
 	if _, err := client.Dial("server:80"); err != nil {

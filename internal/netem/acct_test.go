@@ -2,6 +2,7 @@ package netem
 
 import (
 	"io"
+	"net"
 	"testing"
 )
 
@@ -18,23 +19,14 @@ func TestAcctByteConservation(t *testing.T) {
 	}
 
 	const msg = 64 << 10
-	n.Go(func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			n.Go(func() {
-				// First conn: echo everything. Later conns: read a
-				// little, then abort mid-stream to strand buffered
-				// bytes on both pipes.
-				buf := make([]byte, 4096)
-				nr, _ := c.Read(buf)
-				c.Write(buf[:nr])
-				if _, err := io.ReadFull(c, make([]byte, msg-nr)); err == nil {
-					c.Close()
-				}
-			})
+	l.Serve(func(c net.Conn) {
+		// First conn: echo everything. Later conns: read a little, then
+		// abort mid-stream to strand buffered bytes on both pipes.
+		buf := make([]byte, 4096)
+		nr, _ := c.Read(buf)
+		c.Write(buf[:nr])
+		if _, err := io.ReadFull(c, make([]byte, msg-nr)); err == nil {
+			c.Close()
 		}
 	})
 

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"io"
+	"net"
 	"testing"
 
 	"ptperf/internal/geo"
@@ -21,16 +22,7 @@ func TestLinkDownBlocksNewDialsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	n.Go(func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn := c
-			n.Go(func() { defer conn.Close(); io.Copy(conn, conn) })
-		}
-	})
+	ln.Serve(func(c net.Conn) { defer c.Close(); io.Copy(c, c) })
 
 	pre, err := a.Dial("b:80")
 	if err != nil {

@@ -111,6 +111,26 @@ func (l *Listener) Accept() (net.Conn, error) {
 	return c, nil
 }
 
+// Serve is the one accept skeleton of every simulated server: it spawns
+// one Clock.Go accept goroutine, which runs handle in a Clock.Go
+// goroutine of its own for each conn, in arrival order, and returns
+// once the listener is closed. Conns already queued when Close runs
+// still reach handle (the accept queue's Chan keeps queued values
+// receivable after Close). Serve's call site fixes where the accept
+// goroutine enters the spawn order, so moving it moves results.
+func (l *Listener) Serve(handle func(net.Conn)) {
+	clock := l.host.net.clock
+	clock.Go(func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			clock.Go(func() { handle(c) })
+		}
+	})
+}
+
 // Close stops the listener.
 func (l *Listener) Close() error {
 	l.mu.Lock()

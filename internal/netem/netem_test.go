@@ -3,6 +3,8 @@ package netem
 import (
 	"bytes"
 	"io"
+	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -247,20 +249,64 @@ func TestDeadlineRejectsWallClock(t *testing.T) {
 	}
 }
 
+// TestListenerServe pins what Serve adds over a hand-written accept
+// loop: handlers start in arrival order, conns already queued when Close
+// runs still reach the handler, and Close ends the loop, so
+// Clock.Registered returns to its baseline once the handlers return.
+func TestListenerServe(t *testing.T) {
+	n, a, b := testNetwork(t)
+	clock := n.Clock()
+	base := clock.Registered()
+	var started []string
+	handle := func(c net.Conn) {
+		started = append(started, c.RemoteAddr().String())
+		c.Close()
+	}
+	dial := func(addr string) string {
+		c, err := a.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return c.LocalAddr().String()
+	}
+
+	// A live loop: each conn is handled in the order it arrived.
+	live, _ := b.Listen(80)
+	live.Serve(handle)
+	var want []string
+	for i := 0; i < 3; i++ {
+		want = append(want, dial("b:80"))
+	}
+	clock.Sleep(time.Second)
+	if clock.Registered() != base+1 {
+		t.Fatalf("serving: %d goroutines, want the accept loop over %d", clock.Registered(), base)
+	}
+
+	// Conns queued before the loop runs and still queued at Close are
+	// handled, in order, before the loop returns.
+	queued, _ := b.Listen(81)
+	for i := 0; i < 3; i++ {
+		want = append(want, dial("b:81"))
+	}
+	queued.Serve(handle)
+	queued.Close()
+	live.Close()
+	clock.Sleep(time.Second)
+	if strings.Join(started, " ") != strings.Join(want, " ") {
+		t.Fatalf("handlers started for %v, want %v", started, want)
+	}
+	if got := clock.Registered(); got != base {
+		t.Fatalf("after Close: %d goroutines, want the baseline %d", got, base)
+	}
+}
+
 func TestCloseSemantics(t *testing.T) {
 	n, a, b := testNetwork(t)
 	l, _ := b.Listen(80)
 	defer l.Close()
 	srv := NewChan[*Conn](n.Clock(), 2)
-	n.Go(func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			srv.Send(c.(*Conn))
-		}
-	})
+	l.Serve(func(c net.Conn) { srv.Send(c.(*Conn)) })
 	c, err := a.Dial("b:80")
 	if err != nil {
 		t.Fatal(err)

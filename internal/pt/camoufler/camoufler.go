@@ -180,7 +180,7 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 		accounts: make(map[string]*account),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 2)),
 	}
-	host.Network().Go(s.acceptLoop)
+	ln.Serve(s.serveConn)
 	return s, nil
 }
 
@@ -189,17 +189,6 @@ func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the provider.
 func (s *IMServer) Close() error { return s.ln.Close() }
-
-func (s *IMServer) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.net.Go(func() { s.serveConn(conn) })
-	}
-}
 
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.

@@ -173,7 +173,7 @@ func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*
 		rng:        rand.New(rand.NewSource(cfg.Seed + 29)),
 		sessions:   make(map[string]*sessionMeter),
 	}
-	host.Network().Go(r.acceptLoop)
+	ln.Serve(r.serveConn)
 	return r, nil
 }
 
@@ -182,17 +182,6 @@ func (r *Resolver) Addr() string { return r.ln.Addr().String() }
 
 // Close stops the resolver.
 func (r *Resolver) Close() error { return r.ln.Close() }
-
-func (r *Resolver) acceptLoop() {
-	for {
-		c, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		r.host.Network().Go(func() { r.serveConn(conn) })
-	}
-}
 
 // meter returns the byte meter for a session, drawing its budget on
 // first use.
@@ -294,7 +283,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		return nil, err
 	}
 	s := &Server{cfg: cfg.withDefaults(), ln: ln, clock: host.Network().Clock(), handle: handle, sessions: make(map[string]*serverSession)}
-	s.clock.Go(s.acceptLoop)
+	ln.Serve(s.serveResolverConn)
 	return s, nil
 }
 
@@ -303,17 +292,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
-
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.clock.Go(func() { s.serveResolverConn(conn) })
-	}
-}
 
 // serverSession reassembles one client's tunnel: the stream the handler
 // reads and writes, plus the response numbering and staleness clock.
@@ -347,28 +325,14 @@ func (s *Server) session(id string) *serverSession {
 		}
 		s.handle(target, ss.Stream)
 	})
-	s.clock.Go(func() { s.reapWhenStale(ss) })
-	return ss
-}
-
-// reapWhenStale cuts a session once its client has stopped querying for
-// a full staleness window, like dnstt's turbotunnel sessions expiring.
-// The EOF tears the spliced server-side chain down; without it a client
-// that vanishes leaks the whole chain forever.
-func (s *Server) reapWhenStale(ss *serverSession) {
-	for {
-		s.clock.Sleep(s.cfg.Staleness)
-		if ss.Closed() {
-			return
-		}
+	// Cut the session once its client has stopped querying for a full
+	// staleness window, like dnstt's turbotunnel sessions expiring.
+	ss.ReapWhenStale(s.cfg.Staleness, func(now time.Duration) bool {
 		ss.mu.Lock()
-		stale := s.clock.Now()-ss.lastSeen >= s.cfg.Staleness
-		ss.mu.Unlock()
-		if stale {
-			ss.Fail()
-			return
-		}
-	}
+		defer ss.mu.Unlock()
+		return now-ss.lastSeen >= s.cfg.Staleness
+	})
+	return ss
 }
 
 // serveResolverConn processes the per-session query pipe from the

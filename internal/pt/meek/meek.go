@@ -179,7 +179,7 @@ func StartFront(host *netem.Host, port int, cfg Config, bridgeAddr string) (*Fro
 		return nil, err
 	}
 	f := &Front{cfg: cfg.withDefaults(), host: host, bridgeAddr: bridgeAddr, ln: ln}
-	host.Network().Go(f.acceptLoop)
+	ln.Serve(f.serveConn)
 	return f, nil
 }
 
@@ -188,17 +188,6 @@ func (f *Front) Addr() string { return f.ln.Addr().String() }
 
 // Close stops the front.
 func (f *Front) Close() error { return f.ln.Close() }
-
-func (f *Front) acceptLoop() {
-	for {
-		c, err := f.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		f.host.Network().Go(func() { f.serveConn(conn) })
-	}
-}
 
 // serveConn relays one client's polling connection; the front keeps a
 // matching upstream connection to the bridge.
@@ -273,7 +262,7 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		rng:      rand.New(rand.NewSource(cfg.Seed + 3)),
 		sessions: make(map[uint64]*bridgeSession),
 	}
-	host.Network().Go(b.acceptLoop)
+	ln.Serve(b.serveFrontConn)
 	return b, nil
 }
 
@@ -282,17 +271,6 @@ func (b *Bridge) Addr() string { return b.ln.Addr().String() }
 
 // Close stops the bridge.
 func (b *Bridge) Close() error { return b.ln.Close() }
-
-func (b *Bridge) acceptLoop() {
-	for {
-		c, err := b.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		b.host.Network().Go(func() { b.serveFrontConn(conn) })
-	}
-}
 
 // session fetches or creates the session state.
 func (b *Bridge) session(sid uint64) *bridgeSession {
@@ -316,32 +294,16 @@ func (b *Bridge) session(sid uint64) *bridgeSession {
 		}
 		b.handle(target, s.Stream)
 	})
-	b.host.Network().Go(func() { b.reapWhenStale(s) })
-	return s
-}
-
-// reapWhenStale cuts the session once its client has stopped polling
-// for a full staleness window, like meek-server expiring an abandoned
-// session. Marking it closed sends EOF into the handler's stream, which
-// tears the spliced Tor chain down; without this a client that vanishes
-// (crash, censor cut, parked circuit) leaks the whole server-side
-// circuit forever.
-func (b *Bridge) reapWhenStale(s *bridgeSession) {
-	clock := b.host.Network().Clock()
-	for {
-		clock.Sleep(b.cfg.Staleness)
-		if s.Closed() {
-			return
-		}
+	// Cut the session once its client has stopped polling for a full
+	// staleness window, like meek-server expiring an abandoned session.
+	s.ReapWhenStale(b.cfg.Staleness, func(now time.Duration) bool {
 		s.mu.Lock()
-		stale := clock.Now()-s.lastSeen >= b.cfg.Staleness
+		defer s.mu.Unlock()
+		stale := now-s.lastSeen >= b.cfg.Staleness
 		s.gone = s.gone || stale
-		s.mu.Unlock()
-		if stale {
-			s.Fail()
-			return
-		}
-	}
+		return stale
+	})
+	return s
 }
 
 // drawBudget samples the lognormal session byte budget.

@@ -62,35 +62,24 @@ func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandl
 	if err != nil {
 		return nil, err
 	}
-	srv := &listenServer{ln: ln, addr: fmt.Sprintf("%s:%d", host.Name(), port)}
-	clock := host.Network().Clock()
-	clock.Go(func() {
-		for {
-			raw, err := ln.Accept()
+	ln.Serve(func(raw net.Conn) {
+		conn := raw
+		if wrap != nil {
+			var err error
+			conn, err = wrap(raw)
 			if err != nil {
+				raw.Close()
 				return
 			}
-			rawConn := raw
-			clock.Go(func() {
-				conn := rawConn
-				if wrap != nil {
-					var err error
-					conn, err = wrap(rawConn)
-					if err != nil {
-						rawConn.Close()
-						return
-					}
-				}
-				target, err := ReadTarget(conn)
-				if err != nil {
-					conn.Close()
-					return
-				}
-				handle(target, conn)
-			})
 		}
+		target, err := ReadTarget(conn)
+		if err != nil {
+			conn.Close()
+			return
+		}
+		handle(target, conn)
 	})
-	return srv, nil
+	return &listenServer{ln: ln, addr: fmt.Sprintf("%s:%d", host.Name(), port)}, nil
 }
 
 // SeededDialer runs the common PT client skeleton: each Dial draws the

@@ -313,7 +313,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		pending:  make(map[uint64]*pendingSession),
 		nextSeed: cfg.Seed + 11,
 	}
-	s.clock.Go(s.acceptLoop)
+	ln.Serve(s.serveConn)
 	return s, nil
 }
 
@@ -323,55 +323,46 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// Connection preamble: [8B session][1B index][1B total].
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.clock.Go(func() {
-			c := conn
-			var pre [10]byte
-			if _, err := io.ReadFull(c, pre[:]); err != nil {
-				c.Close()
-				return
-			}
-			sid := binary.BigEndian.Uint64(pre[:8])
-			total := int(pre[9])
-			if total <= 0 || total > 16 {
-				c.Close()
-				return
-			}
-			s.mu.Lock()
-			ps := s.pending[sid]
-			if ps == nil {
-				ps = &pendingSession{want: total}
-				s.pending[sid] = ps
-			}
-			ps.conns = append(ps.conns, c)
-			ready := len(ps.conns) == ps.want
-			var conns []net.Conn
-			if ready {
-				conns = ps.conns
-				delete(s.pending, sid)
-				s.nextSeed++
-			}
-			seed := s.nextSeed
-			s.mu.Unlock()
-			if !ready {
-				return
-			}
-			cc := newChopConn(s.clock, s.cfg, sid, conns, seed)
-			target, err := pt.ReadTarget(cc)
-			if err != nil {
-				cc.Close()
-				return
-			}
-			s.handle(target, cc)
-		})
+// serveConn files one fan-out connection under its session; the
+// connection preamble is [8B session][1B index][1B total].
+func (s *Server) serveConn(c net.Conn) {
+	var pre [10]byte
+	if _, err := io.ReadFull(c, pre[:]); err != nil {
+		c.Close()
+		return
 	}
+	sid := binary.BigEndian.Uint64(pre[:8])
+	total := int(pre[9])
+	if total <= 0 || total > 16 {
+		c.Close()
+		return
+	}
+	s.mu.Lock()
+	ps := s.pending[sid]
+	if ps == nil {
+		ps = &pendingSession{want: total}
+		s.pending[sid] = ps
+	}
+	ps.conns = append(ps.conns, c)
+	ready := len(ps.conns) == ps.want
+	var conns []net.Conn
+	if ready {
+		conns = ps.conns
+		delete(s.pending, sid)
+		s.nextSeed++
+	}
+	seed := s.nextSeed
+	s.mu.Unlock()
+	if !ready {
+		return
+	}
+	cc := newChopConn(s.clock, s.cfg, sid, conns, seed)
+	target, err := pt.ReadTarget(cc)
+	if err != nil {
+		cc.Close()
+		return
+	}
+	s.handle(target, cc)
 }
 
 // Dialer is the stegotorus client.

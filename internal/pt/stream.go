@@ -122,6 +122,30 @@ func (s *Stream) Closed() bool {
 	return s.closed
 }
 
+// ReapWhenStale arms the idle-session reaper of a server-side stream:
+// an inline event that checks the stream every staleness from now, at
+// creation + k·staleness, and re-arms itself. A check on a closed
+// stream stops the reaper; one where stale(now) holds fails the stream,
+// which sends EOF into its handler and tears the spliced chain down.
+// Without it a client that vanishes (crash, censor cut, parked circuit)
+// leaks the whole server-side circuit forever. stale runs inside the
+// event, so it must not park.
+func (s *Stream) ReapWhenStale(staleness time.Duration, stale func(now time.Duration) bool) {
+	var check func()
+	check = func() {
+		if s.Closed() {
+			return
+		}
+		now := s.clock.Now()
+		if stale(now) {
+			s.Fail()
+			return
+		}
+		s.clock.EventAt(now+staleness, check)
+	}
+	s.clock.EventAt(s.clock.Now()+staleness, check)
+}
+
 // Take pops at most limit queued outbound bytes, nil when none wait.
 func (s *Stream) Take(limit int) []byte {
 	s.mu.Lock()

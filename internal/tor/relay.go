@@ -97,7 +97,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		}
 	}
 	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.Sched, cfg.Bandwidth)
-	r.clock.Go(func() { r.acceptLoop(ln) })
+	ln.Serve(r.ServeConn)
 	return r, nil
 }
 
@@ -187,26 +187,15 @@ func (r *Relay) Restart() error {
 	r.sched = sched
 	r.crashed = false
 	r.mu.Unlock()
-	r.clock.Go(func() { r.acceptLoop(ln) })
+	// Each incarnation serves the listener it opened, so a crash/restart
+	// cycle never cross-wires two accept loops.
+	ln.Serve(r.ServeConn)
 	if !r.cfg.Unpublished && r.cfg.Directory != nil {
 		if err := r.cfg.Directory.Publish(r.desc); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// acceptLoop serves one listener incarnation; it is handed the listener
-// it owns so a crash/restart cycle can never cross-wire two loops.
-func (r *Relay) acceptLoop(ln *netem.Listener) {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		r.clock.Go(func() { r.ServeConn(conn) })
-	}
 }
 
 // ServeConn runs the OR protocol on one inbound link. It is exported so

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -116,45 +117,27 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Go(func() {
+	bulkLn.Serve(func(c net.Conn) {
+		// Stream until the circuit dies: contention must outlast every
+		// bursty ping, whichever policy is running.
+		chunk := make([]byte, 32<<10)
 		for {
-			c, err := bulkLn.Accept()
-			if err != nil {
+			if _, err := c.Write(chunk); err != nil {
+				c.Close()
 				return
 			}
-			conn := c
-			n.Go(func() {
-				// Stream until the circuit dies: contention must outlast
-				// every bursty ping, whichever policy is running.
-				chunk := make([]byte, 32<<10)
-				for {
-					if _, err := conn.Write(chunk); err != nil {
-						conn.Close()
-						return
-					}
-				}
-			})
 		}
 	})
 	pingLn, err := web.Listen(81)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Go(func() {
-		for {
-			c, err := pingLn.Accept()
-			if err != nil {
-				return
-			}
-			conn := c
-			n.Go(func() {
-				buf := make([]byte, 1)
-				if _, err := io.ReadFull(conn, buf); err == nil {
-					conn.Write(buf)
-				}
-				conn.Close()
-			})
+	pingLn.Serve(func(c net.Conn) {
+		buf := make([]byte, 1)
+		if _, err := io.ReadFull(c, buf); err == nil {
+			c.Write(buf)
 		}
+		c.Close()
 	})
 
 	g, _ := dir.Lookup("guard-0")

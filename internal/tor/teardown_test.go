@@ -2,6 +2,7 @@ package tor
 
 import (
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -111,16 +112,7 @@ func TestMidTransferRelayCrashTearsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	n.Go(func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn := c
-			n.Go(func() { defer conn.Close(); io.Copy(conn, conn) })
-		}
-	})
+	ln.Serve(func(c net.Conn) { defer c.Close(); io.Copy(c, c) })
 
 	c, err := NewClient(ClientConfig{Host: clientHost, Directory: dir, Seed: 42, BuildTimeout: 20 * time.Minute})
 	if err != nil {

@@ -62,18 +62,9 @@ func buildWorld(t *testing.T, nGuard, nMiddle, nExit int) *testWorld {
 		t.Fatal(err)
 	}
 	w.target = "web:80"
-	n.Go(func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn := c
-			n.Go(func() {
-				defer conn.Close()
-				io.Copy(conn, conn) // echo until client half-closes
-			})
-		}
+	ln.Serve(func(c net.Conn) {
+		defer c.Close()
+		io.Copy(c, c) // echo until client half-closes
 	})
 	t.Cleanup(func() { ln.Close() })
 	return w

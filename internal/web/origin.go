@@ -14,7 +14,6 @@ import (
 // subset. One origin stands in for the paper's "uncensored Internet".
 type Origin struct {
 	ln       *netem.Listener
-	clock    *netem.Clock
 	catalogs map[List]*Catalog
 	addr     string
 }
@@ -27,14 +26,13 @@ func StartOrigin(host *netem.Host, port int, catalogs ...*Catalog) (*Origin, err
 	}
 	o := &Origin{
 		ln:       ln,
-		clock:    host.Network().Clock(),
 		catalogs: make(map[List]*Catalog),
 		addr:     fmt.Sprintf("%s:%d", host.Name(), port),
 	}
 	for _, c := range catalogs {
 		o.catalogs[c.List] = c
 	}
-	o.clock.Go(o.acceptLoop)
+	ln.Serve(o.serveConn)
 	return o, nil
 }
 
@@ -43,17 +41,6 @@ func (o *Origin) Addr() string { return o.addr }
 
 // Close stops the origin.
 func (o *Origin) Close() error { return o.ln.Close() }
-
-func (o *Origin) acceptLoop() {
-	for {
-		c, err := o.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		o.clock.Go(func() { o.serveConn(conn) })
-	}
-}
 
 func (o *Origin) serveConn(conn net.Conn) {
 	defer conn.Close()

@@ -26,7 +26,9 @@ import (
 //   - the sink argument of (netem.Conn).SetReadSink and the package-
 //     internal (netem.pipe).setSink — which covers the tor cell sinks
 //     (cellSink, clientCell, backwardSink) and the relay scheduler's
-//     flush pass, both armed through these APIs.
+//     flush pass, both armed through these APIs;
+//   - the staleness predicate of (pt.Stream).ReapWhenStale, which the
+//     reaper's re-armed EventAt callback calls.
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,
@@ -124,11 +126,11 @@ func parkingPrimitive(f *types.Func) (string, string, bool) {
 	return "", "", false
 }
 
-// contextSwitchers are netem Clock/Conn/pipe methods whose function-
-// literal argument runs in a different context than the caller: Go's
-// argument becomes a registered goroutine (may park), EventAt's and the
-// sink setters' arguments are event callbacks (collected as roots
-// separately). The walker does not descend into these literals.
+// contextSwitchers are the methods whose function-literal argument runs
+// in a different context than the caller: Go's argument becomes a
+// registered goroutine (may park); EventAt's, the sink setters' and
+// ReapWhenStale's are event callbacks (collected as roots separately).
+// The walker does not descend into these literals.
 func contextSwitchArg(f *types.Func) int {
 	switch {
 	case isMethodOf(f, "netem", "Clock", "Go"):
@@ -139,6 +141,8 @@ func contextSwitchArg(f *types.Func) int {
 		return 0
 	case isMethodOf(f, "netem", "pipe", "setSink"):
 		return 0
+	case isMethodOf(f, "pt", "Stream", "ReapWhenStale"):
+		return 1
 	}
 	return -1
 }
@@ -261,6 +265,8 @@ func (a *noParkAnalysis) collectRoots() []root {
 				idx, kind = 0, "Conn.SetReadSink sink"
 			case isMethodOf(fn, "netem", "pipe", "setSink"):
 				idx, kind = 0, "pipe.setSink sink"
+			case isMethodOf(fn, "pt", "Stream", "ReapWhenStale"):
+				idx, kind = 1, "Stream.ReapWhenStale predicate"
 			default:
 				return true
 			}

@@ -7,8 +7,10 @@ package app
 
 import (
 	"io"
+	"time"
 
 	"sandbox/netem"
+	"sandbox/pt"
 )
 
 type proc struct {
@@ -66,6 +68,16 @@ func badLocal(c *netem.Clock) {
 		c.EventAt(1, check)
 	}
 	c.EventAt(0, check)
+}
+
+// badPredicate hands the idle-session reaper a staleness predicate
+// that parks; the reaper calls it from its event callback.
+func badPredicate(s *pt.Stream, mu *netem.Mutex) {
+	s.ReapWhenStale(time.Second, func(time.Duration) bool {
+		mu.Lock() // want `\(netem\.Mutex\)\.Lock parks while contended.*Stream\.ReapWhenStale predicate`
+		mu.Unlock()
+		return false
+	})
 }
 
 // good stays on the non-parking surface; the Clock.Go body is a
